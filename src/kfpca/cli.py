@@ -9,10 +9,7 @@ written to a temporary path and renamed on success.
 
 import argparse
 import csv
-import io
-import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -20,7 +17,7 @@ from .core import FunctionalSample, Grid
 from .errors import ConfigurationError, InputError, KfpcaError, ParseError
 from .estimators import bootstrap_mean_band
 from .metrics import METRIC_NAMES, aggregate, convergence_rate, run_scenario
-from .model import METHODS, FitConfig, fit, save_model
+from .model import METHODS, FitConfig, atomic_write, fit, save_model
 from .simgen import DISTRIBUTIONS, SimulationScenario
 
 EXIT_OK = 0
@@ -81,25 +78,13 @@ def read_dataset(path) -> FunctionalSample:
     return FunctionalSample(grid, np.asarray(values))
 
 
-def _atomic_write(path, text: str):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write_csv(path, header, rows):
+    def write(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    atomic_write(path, write)
 
 
 def _parse_ncomp(text: str):
@@ -221,12 +206,10 @@ def cmd_simulate(args) -> int:
                         scenario.seed,
                     ]
                 )
-        _atomic_write(
+        _write_csv(
             args.out,
-            _csv_text(
-                ["case", "distribution", "method", "metric", "mean", "sd", "runs", "seed"],
-                rows,
-            ),
+            ["case", "distribution", "method", "metric", "mean", "sd", "runs", "seed"],
+            rows,
         )
     except KfpcaError as exc:
         return _fail(exc, EXIT_NUMERIC)
@@ -258,7 +241,7 @@ def cmd_mean_band(args) -> int:
                 sample.grid.points, band.mean.values, band.lower.values, band.upper.values
             )
         ]
-        _atomic_write(args.out, _csv_text(["t", "mean", "lower", "upper"], rows))
+        _write_csv(args.out, ["t", "mean", "lower", "upper"], rows)
     except KfpcaError as exc:
         return _fail(exc, EXIT_NUMERIC)
     print(f"band written to {args.out}")
@@ -279,9 +262,7 @@ def cmd_rate(args) -> int:
             [n, repr(float(err)), repr(diag.fitted_slope)]
             for n, err in zip(diag.sample_sizes, diag.sup_errors)
         ]
-        _atomic_write(
-            args.out, _csv_text(["n", "mean_sup_error", "fitted_slope"], rows)
-        )
+        _write_csv(args.out, ["n", "mean_sup_error", "fitted_slope"], rows)
     except KfpcaError as exc:
         return _fail(exc, EXIT_NUMERIC)
     print(f"fitted slope: {diag.fitted_slope:.4f}")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, InputError
+from .errors import ConfigurationError, DimensionError, EstimationError, InputError
 
 GCV_CANDIDATE_COUNT = 20
 
@@ -152,9 +152,6 @@ class FunctionalSample:
     def n_subjects(self) -> int:
         return int(self.values.shape[0])
 
-    def curve(self, i: int) -> Curve:
-        return Curve(self.grid, self.values[i])
-
 
 def _require_same_grid(a: Grid, b: Grid):
     if not a.matches(b):
@@ -194,16 +191,6 @@ def _local_linear_matrix(points: np.ndarray, bandwidth: float) -> np.ndarray:
     return numer / denom[:, None]
 
 
-def _gcv_score(smoother: np.ndarray, y: np.ndarray) -> float:
-    n = y.size
-    resid = y - smoother @ y
-    trace = float(np.trace(smoother))
-    df = n - trace
-    if df < 1e-8:
-        return np.inf
-    return n * float(resid @ resid) / df**2
-
-
 def gcv_bandwidth_candidates(grid: Grid) -> np.ndarray:
     """Log-spaced bandwidths from half the grid spacing to a quarter span."""
     lo = 0.5 * grid.spacing
@@ -211,35 +198,44 @@ def gcv_bandwidth_candidates(grid: Grid) -> np.ndarray:
     return np.exp(np.linspace(np.log(lo), np.log(hi), GCV_CANDIDATE_COUNT))
 
 
-def smooth_curve(raw: Curve, bandwidth="auto") -> Curve:
-    """Local-linear smooth of a curve onto its own grid.
+def smooth_rows(grid: Grid, values: np.ndarray, bandwidth="auto") -> np.ndarray:
+    """Local-linear smooth of each row of an n x d matrix onto the grid.
 
-    Parameters
-    ----------
-    raw : Curve
-        Noisy observations.
-    bandwidth : positive float or "auto"
-        Gaussian kernel bandwidth.  "auto" picks the generalized
-        cross-validation minimizer over a fixed log-spaced candidate set.
-
-    Returns
-    -------
-    Curve
-        Smoothed values on the same grid.
+    ``bandwidth`` is a positive Gaussian kernel bandwidth or "auto", which
+    picks for each row separately the generalized cross-validation minimizer
+    over a fixed log-spaced candidate set (on ties the smaller bandwidth).
+    Raises EstimationError if no candidate gives a row a finite score.
     """
-    pts = raw.grid.points
-    if isinstance(bandwidth, str):
-        if bandwidth != "auto":
-            raise ConfigurationError(f"unknown bandwidth spec {bandwidth!r}")
-        best, best_score = None, np.inf
-        for cand in gcv_bandwidth_candidates(raw.grid):
-            s = _local_linear_matrix(pts, cand)
-            score = _gcv_score(s, raw.values)
-            if score < best_score:
-                best, best_score = s, score
-        smoother = best
-    else:
+    pts = grid.points
+    if not isinstance(bandwidth, str):
         if not bandwidth > 0:
             raise ConfigurationError(f"bandwidth must be positive, got {bandwidth}")
-        smoother = _local_linear_matrix(pts, float(bandwidth))
-    return Curve(raw.grid, smoother @ raw.values)
+        return values @ _local_linear_matrix(pts, float(bandwidth)).T
+    if bandwidth != "auto":
+        raise ConfigurationError(f"unknown bandwidth spec {bandwidth!r}")
+    # one candidate smoother and one fitted block at a time
+    d = grid.size
+    out = np.empty_like(values)
+    fitted = np.empty_like(values)
+    resid = np.empty_like(values)
+    best = np.full(values.shape[0], np.inf)
+    for cand in gcv_bandwidth_candidates(grid):
+        s = _local_linear_matrix(pts, cand)
+        df = d - float(np.trace(s))
+        if df < 1e-8:
+            continue
+        np.matmul(values, s.T, out=fitted)
+        np.subtract(values, fitted, out=resid)
+        score = d * np.einsum("ij,ij->i", resid, resid) / df**2
+        better = score < best
+        best[better] = score[better]
+        np.copyto(out, fitted, where=better[:, None])
+    if not np.all(np.isfinite(best)):
+        raise EstimationError("no GCV bandwidth gives a finite score")
+    return out
+
+
+def smooth_curve(raw: Curve, bandwidth="auto") -> Curve:
+    """Local-linear smooth of a curve onto its own grid; the one-row case of
+    ``smooth_rows``."""
+    return Curve(raw.grid, smooth_rows(raw.grid, raw.values[None, :], bandwidth)[0])

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Curve, FunctionalSample, Grid, inner_product, smooth_curve, sq_norm
+from .core import Curve, FunctionalSample, Grid, smooth_rows
 from .errors import ConfigurationError, DimensionError, EstimationError, InputError
 from .estimators import DiscretizedKernel
 
@@ -58,7 +58,8 @@ def eigen_decompose(
     smooth: bool = False,
     bandwidth="auto",
 ) -> EigenSystem:
-    """Solve the weighted eigenproblem of a discretized kernel.
+    """Leading eigenpairs of a kernel's weighted eigenproblem, which the
+    kernel solved once at construction.
 
     Parameters
     ----------
@@ -67,8 +68,8 @@ def eigen_decompose(
     n_components : int
         Number of leading eigenpairs to return (1 <= K <= d).
     smooth : bool
-        If True, each eigenfunction is local-linear smoothed and then
-        rescaled back to unit quadrature norm.  Orthogonality is not
+        If True, each returned eigenfunction is local-linear smoothed and
+        then rescaled back to unit quadrature norm.  Orthogonality is not
         re-imposed after smoothing.
     bandwidth : positive float or "auto"
         Passed through to the smoother when ``smooth`` is set.
@@ -85,34 +86,23 @@ def eigen_decompose(
         raise ConfigurationError(
             f"n_components must lie in [1, {d}], got {n_components}"
         )
-    m = kernel.matrix
-    if float(np.abs(m - m.T).max()) > 1e-10 * max(float(np.abs(m).max()), 1e-300):
-        raise InputError("kernel matrix is not symmetric")
-
     w = kernel.grid.weights
     sqrt_w = np.sqrt(w)
-    sym = sqrt_w[:, None] * m * sqrt_w[None, :]
-    evals, vecs = np.linalg.eigh((sym + sym.T) / 2.0)
-    evals = evals[::-1][:n_components]
-    vecs = vecs[:, ::-1][:, :n_components]
-
-    funcs = []
-    for k in range(n_components):
-        phi = _apply_sign_convention(vecs[:, k] / sqrt_w, w)
-        curve = Curve(kernel.grid, phi)
-        if smooth:
-            curve = smooth_curve(curve, bandwidth)
-            norm = sq_norm(curve)
+    vecs = kernel.eigenvectors
+    phi = np.array(
+        [_apply_sign_convention(vecs[:, k] / sqrt_w, w) for k in range(n_components)]
+    )
+    if smooth:
+        phi = smooth_rows(kernel.grid, phi, bandwidth)
+        for k, row in enumerate(phi):
+            norm = float(w @ (row * row))
             if norm <= 0:
-                raise EstimationError(
-                    f"smoothing annihilated eigenfunction {k + 1}"
-                )
-            curve = Curve(
-                kernel.grid,
-                _apply_sign_convention(curve.values / np.sqrt(norm), w),
-            )
-        funcs.append(curve)
-    return EigenSystem(kernel.grid, tuple(funcs), evals, kernel.kind)
+                raise EstimationError(f"smoothing annihilated eigenfunction {k + 1}")
+            phi[k] = _apply_sign_convention(row / np.sqrt(norm), w)
+    funcs = tuple(Curve(kernel.grid, row) for row in phi)
+    return EigenSystem(
+        kernel.grid, funcs, kernel.eigenvalues[:n_components], kernel.kind
+    )
 
 
 def project_scores(

@@ -6,7 +6,7 @@ tails and skewness), and the plain sample covariance baseline.  Both return
 a symmetric positive semidefinite matrix on the sample's grid.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,11 +33,16 @@ class DiscretizedKernel:
 
     ``kind`` records which estimator produced the matrix; the pairwise
     sign-based kind additionally carries a unit weighted trace.
+    ``eigenvalues``/``eigenvectors`` are the descending eigenpairs of
+    W^{1/2} M W^{1/2}, W = diag(weights) (see ``eigen``); by Sylvester's law
+    of inertia their signs are M's own, so the PSD check reads them.
     """
 
     grid: Grid
     matrix: np.ndarray
     kind: str
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen_array(self.matrix))
@@ -51,17 +56,20 @@ class DiscretizedKernel:
         scale = float(np.abs(m).max())
         if float(np.abs(m - m.T).max()) > SYMMETRY_RTOL * max(scale, 1e-300):
             raise InputError("kernel matrix is not symmetric")
-        evals = np.linalg.eigvalsh((m + m.T) / 2.0)
+        sqrt_w = np.sqrt(self.grid.weights)
+        sym = sqrt_w[:, None] * m * sqrt_w[None, :]
+        evals, vecs = np.linalg.eigh((sym + sym.T) / 2.0)
         if evals[0] < -PSD_RTOL * max(float(evals[-1]), 0.0) - 1e-300:
             raise EstimationError(
                 f"kernel matrix is not positive semidefinite (min eig {evals[0]:.3e})"
             )
-        if self.kind == KENDALL:
-            wtrace = float(self.grid.weights @ np.diag(m))
-            if abs(wtrace - 1.0) > TRACE_ATOL:
-                raise EstimationError(
-                    f"weighted trace of a {KENDALL} kernel must be 1, got {wtrace!r}"
-                )
+        if self.kind == KENDALL and abs(self.weighted_trace - 1.0) > TRACE_ATOL:
+            raise EstimationError(
+                f"weighted trace of a {KENDALL} kernel must be 1, got {self.weighted_trace!r}"
+            )
+        for name, value in (("eigenvalues", evals[::-1]), ("eigenvectors", vecs[:, ::-1])):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def weighted_trace(self) -> float:
@@ -88,8 +96,6 @@ class MeanBand:
 
 def mean_hat(sample: FunctionalSample) -> Curve:
     """Pointwise average curve across subjects."""
-    if sample.values.shape[0] < 1:
-        raise InputError("cannot average an empty sample")
     return Curve(sample.grid, sample.values.mean(axis=0))
 
 
@@ -128,26 +134,30 @@ def kendall_tau_hat(
 
     Raises
     ------
-    InputError
-        Fewer than two curves.
     EstimationError
         Every pair degenerate (e.g. all curves identical).
     """
-    x = sample.values
-    w = sample.grid.weights
-    n, d = x.shape
-    if n < 2:
-        raise InputError("pairwise estimator needs at least 2 curves")
     if degenerate_tol < 0:
         raise ConfigurationError("degenerate_tol must be non-negative")
-
     threshold = degenerate_tol * mean_pairwise_sq_norm(sample)
+    accum, ordered_retained = _pair_sum(sample.values, sample.grid.weights, threshold)
+    if ordered_retained == 0:
+        raise EstimationError("all curve pairs are degenerate")
+    # the accumulated sum already equals the unordered-pair sum
+    accum /= ordered_retained / 2.0
+    return DiscretizedKernel(sample.grid, (accum + accum.T) / 2.0, KENDALL)
+
+
+def _pair_sum(x: np.ndarray, w: np.ndarray, threshold: float) -> tuple[np.ndarray, int]:
+    """Sum of outer(D, D)/|D|^2 over unordered pairs D = X_i - X_j with
+    |D|^2 > threshold, and the count of such ordered pairs.  Its block
+    scratch is freed before the caller builds (and eigensolves) the kernel.
+    """
+    n, d = x.shape
     xw = x * w
     q = np.einsum("ij,ij->i", x, xw)
-
-    # sum over pairs of outer(D, D)/|D|^2 rewritten as X^T (diag(r) - C) X
-    # with C[i, j] = 1/|X_i - X_j|^2 on retained pairs; squared norms come
-    # from the Gram identity q_i + q_j - 2 <X_i, X_j>_w.
+    # X^T (diag(r) - C) X with C[i, j] = 1/|X_i - X_j|^2 on retained pairs;
+    # squared norms from the Gram identity q_i + q_j - 2 <X_i, X_j>_w
     accum = np.zeros((d, d))
     ordered_retained = 0
     for i0 in range(0, n, _PAIR_BLOCK):
@@ -163,19 +173,12 @@ def kendall_tau_hat(
         accum += (x[i0:i1] * r[:, None]).T @ x[i0:i1]
         accum -= x[i0:i1].T @ (inv @ x)
         ordered_retained += int(mask.sum())
-
-    if ordered_retained == 0:
-        raise EstimationError("all curve pairs are degenerate")
-    # the accumulated sum already equals the unordered-pair sum
-    accum /= ordered_retained / 2.0
-    return DiscretizedKernel(sample.grid, (accum + accum.T) / 2.0, KENDALL)
+    return accum, ordered_retained
 
 
 def covariance_hat(sample: FunctionalSample) -> DiscretizedKernel:
     """Sample covariance matrix across subjects (divisor N - 1)."""
     x = sample.values
-    if x.shape[0] < 2:
-        raise InputError("covariance needs at least 2 curves")
     xc = x - x.mean(axis=0)
     m = xc.T @ xc / (x.shape[0] - 1)
     return DiscretizedKernel(sample.grid, (m + m.T) / 2.0, COVARIANCE)

@@ -1,17 +1,21 @@
 """End-to-end fit pipeline and model persistence.
 
-A fit runs: optional per-curve pre-smoothing, mean estimation, a kernel
-estimate (pairwise sign-based or sample covariance), weighted
-eigendecomposition, score projection, and per-component score variances.
+A fit runs each stage once, on arrays: optional pre-smoothing (a GCV
+bandwidth per curve), mean estimation, a kernel estimate (pairwise sign-based
+or sample covariance) with its one weighted eigensolve, the cut at K
+components, optional smoothing of the K kept eigenfunctions, score
+projection, and per-component score variances.
 The fitted object serializes to a single JSON document.
 """
 
 import json
+import os
+import tempfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import Curve, FunctionalSample, Grid, smooth_curve, _frozen_array
+from .core import Curve, FunctionalSample, Grid, _frozen_array, smooth_rows
 from .eigen import EigenSystem, eigen_decompose, project_scores
 from .errors import ConfigurationError, InputError, ParseError
 from .estimators import covariance_hat, kendall_tau_hat, mean_hat
@@ -102,12 +106,8 @@ class FpcaModel:
         return float(self.operator_eigenvalues.sum()) / total
 
 
-def _select_k(eigenvalues: np.ndarray, n_components: int | float, d: int) -> int:
+def _select_k(eigenvalues: np.ndarray, n_components: int | float) -> int:
     if isinstance(n_components, int):
-        if n_components > d:
-            raise ConfigurationError(
-                f"requested {n_components} components but the grid has {d} points"
-            )
         return n_components
     total = float(eigenvalues.sum())
     if total <= 0:
@@ -144,13 +144,10 @@ def fit(sample: FunctionalSample, config: FitConfig) -> FpcaModel:
         raise InputError("fit needs at least 4 grid points")
 
     if config.presmooth:
-        smoothed = np.stack(
-            [
-                smooth_curve(sample.curve(i), config.presmooth_bandwidth).values
-                for i in range(sample.n_subjects)
-            ]
+        sample = FunctionalSample(
+            sample.grid,
+            smooth_rows(sample.grid, sample.values, config.presmooth_bandwidth),
         )
-        sample = FunctionalSample(sample.grid, smoothed)
 
     mean = mean_hat(sample)
     if config.method == KFPCA:
@@ -158,22 +155,21 @@ def fit(sample: FunctionalSample, config: FitConfig) -> FpcaModel:
     else:
         kernel = covariance_hat(sample)
 
-    d = sample.grid.size
+    k = _select_k(kernel.eigenvalues, config.n_components)
     system = eigen_decompose(
-        kernel, d, smooth=config.eigen_smooth, bandwidth=config.eigen_bandwidth
+        kernel, k, smooth=config.eigen_smooth, bandwidth=config.eigen_bandwidth
     )
-    k = _select_k(system.operator_eigenvalues, config.n_components, d)
     scores = project_scores(sample, mean, system, k)
     return FpcaModel(
         grid=sample.grid,
         mean=mean,
-        eigenfunctions=system.eigenfunctions[:k],
-        operator_eigenvalues=system.operator_eigenvalues[:k],
+        eigenfunctions=system.eigenfunctions,
+        operator_eigenvalues=system.operator_eigenvalues,
         component_variances=scores.var(axis=0, ddof=1),
         scores=scores,
         method=config.method,
         config=config,
-        _spectrum_remainder=float(system.operator_eigenvalues[k:].sum()),
+        _spectrum_remainder=float(kernel.eigenvalues[k:].sum()),
     )
 
 
@@ -214,6 +210,8 @@ def _config_from_doc(doc: dict) -> FitConfig:
         )
     except KeyError as exc:
         raise ParseError(f"config is missing field {exc.args[0]!r}", path=f"config.{exc.args[0]}")
+    except (TypeError, ValueError, ConfigurationError) as exc:
+        raise ParseError(f"malformed config: {exc}", path="config")
 
 
 def serialize_model(model: FpcaModel) -> dict:
@@ -267,6 +265,8 @@ def deserialize_model(doc: dict) -> FpcaModel:
             f"unsupported schema_version {doc['schema_version']!r}",
             path="schema_version",
         )
+    if not isinstance(doc["grid"], dict):
+        raise ParseError("field 'grid' must be a JSON object", path="grid")
     if "points" not in doc["grid"]:
         raise ParseError("missing field 'grid.points'", path="grid.points")
 
@@ -294,6 +294,8 @@ def deserialize_model(doc: dict) -> FpcaModel:
     eigenvalues = _vector("eigenvalues_operator", doc["eigenvalues_operator"])
     variances = _vector("component_variances", doc["component_variances"])
 
+    if not isinstance(doc["eigenfunctions"], list):
+        raise ParseError("field 'eigenfunctions' must be a list", path="eigenfunctions")
     funcs = []
     for k, raw in enumerate(doc["eigenfunctions"]):
         vec = _vector(f"eigenfunctions[{k}]", raw)
@@ -319,6 +321,10 @@ def deserialize_model(doc: dict) -> FpcaModel:
             path="scores",
         )
 
+    try:
+        remainder = float(doc.get("spectrum_remainder", 0.0))
+    except (TypeError, ValueError):
+        raise ParseError("field 'spectrum_remainder' is not numeric", path="spectrum_remainder")
     return FpcaModel(
         grid=grid,
         mean=Curve(grid, mean),
@@ -328,14 +334,34 @@ def deserialize_model(doc: dict) -> FpcaModel:
         scores=scores,
         method=doc["method"],
         config=_config_from_doc(doc["config"]),
-        _spectrum_remainder=float(doc.get("spectrum_remainder", 0.0)),
+        _spectrum_remainder=remainder,
     )
 
 
+def atomic_write(path, write) -> None:
+    """Write ``path`` through ``write(fh)`` into a temporary file beside it,
+    renamed over ``path`` once ``write`` returns; a failure leaves ``path``
+    as it was and removes the temporary file."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_model(model: FpcaModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write the model document as one line of JSON, atomically."""
+
+    def write(fh):
         json.dump(serialize_model(model), fh)
         fh.write("\n")
+
+    atomic_write(path, write)
 
 
 def load_model(path) -> FpcaModel:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from kfpca.core import _local_linear_matrix, gcv_bandwidth_candidates, smooth_rows
 from kfpca import (
     ConfigurationError,
     Curve,
     DimensionError,
+    EstimationError,
     FunctionalSample,
     Grid,
     InputError,
@@ -21,6 +23,21 @@ def fine_quadrature(fn, a=0.0, b=10.0, d=20001):
     """Brute-force trapezoid integral on a very fine grid (oracle)."""
     t = np.linspace(a, b, d)
     return np.trapezoid(fn(t), t)
+
+
+def smooth_reference(grid, y, bandwidth):
+    """Per-curve matrix-vector smoother: the first GCV minimizer wins."""
+    if bandwidth != "auto":
+        return _local_linear_matrix(grid.points, bandwidth) @ y
+    best, best_score = None, np.inf
+    for cand in gcv_bandwidth_candidates(grid):
+        s = _local_linear_matrix(grid.points, cand)
+        resid = y - s @ y
+        df = y.size - np.trace(s)
+        score = y.size * (resid @ resid) / df**2 if df >= 1e-8 else np.inf
+        if score < best_score:
+            best, best_score = s @ y, score
+    return best
 
 
 class TestMakeRegularGrid:
@@ -155,6 +172,34 @@ class TestSmoothCurve:
         rmse_out = np.sqrt(np.mean((smoothed.values - truth) ** 2))
         rmse_in = np.sqrt(np.mean(noise**2))
         assert rmse_out < rmse_in
+
+    @pytest.mark.parametrize("bandwidth", [0.7, "auto"])
+    def test_stack_matches_each_row_alone(self, bandwidth):
+        # rows from smooth to rough pick different GCV bandwidths, so a score
+        # pooled across rows would move at least one of them
+        g = make_regular_grid(0, 10, 51)
+        rng = derive_rng(7, 0)
+        rows = np.stack(
+            [
+                np.sin(g.points),
+                np.sin(g.points) + 0.05 * rng.standard_normal(51),
+                np.sin(3.0 * g.points) + 0.5 * rng.standard_normal(51),
+                rng.standard_normal(51),
+                2.0 * g.points - 3.0,
+            ]
+        )
+        stacked = smooth_rows(g, rows, bandwidth)
+        for i, row in enumerate(rows):
+            alone = smooth_curve(Curve(g, row), bandwidth).values
+            assert np.abs(stacked[i] - alone).max() <= 1e-12
+            assert np.abs(stacked[i] - smooth_reference(g, row, bandwidth)).max() <= 1e-12
+
+    def test_overflowing_gcv_scores_raise(self):
+        # finite values whose squared residuals overflow to inf for every candidate
+        g = make_regular_grid(0, 10, 21)
+        rows = 1e200 * derive_rng(3, 0).standard_normal((2, 21))
+        with pytest.raises(EstimationError):
+            smooth_rows(g, rows)
 
     @pytest.mark.parametrize("bandwidth", [0.0, -1.0, "bogus"])
     def test_invalid_bandwidth(self, bandwidth):

@@ -6,6 +6,7 @@ from kfpca import (
     Curve,
     DimensionError,
     DiscretizedKernel,
+    EstimationError,
     FunctionalSample,
     InputError,
     SimulationScenario,
@@ -125,6 +126,29 @@ class TestEigenDecompose:
         m[0, 1] = 0.5
         with pytest.raises(InputError):
             DiscretizedKernel(g, m, "covariance")
+
+    def test_non_psd_matrix_rejected_at_construction(self):
+        g = make_regular_grid(0, 1, 4)
+        m = np.diag([1.0, 1.0, 1.0, -0.5])
+        with pytest.raises(EstimationError):
+            DiscretizedKernel(g, m, "covariance")
+
+    def test_kendall_kernel_needs_unit_weighted_trace(self):
+        g = make_regular_grid(0, 1, 4)
+        m = 2.0 * np.eye(4) / g.weights.sum()
+        DiscretizedKernel(g, m, "covariance")
+        with pytest.raises(EstimationError):
+            DiscretizedKernel(g, m, "kendall")
+        DiscretizedKernel(g, m / 2.0, "kendall")
+
+    def test_leading_pairs_are_the_kernels_own(self):
+        kernel = kendall_tau_hat(noisy_sample(seed=8))
+        system = eigen_decompose(kernel, 4)
+        assert np.array_equal(system.operator_eigenvalues, kernel.eigenvalues[:4])
+        assert np.all(np.diff(kernel.eigenvalues) <= 0)
+        sqrt_w = np.sqrt(kernel.grid.weights)
+        for k, c in enumerate(system.eigenfunctions):
+            assert abs(abs(c.values * sqrt_w @ kernel.eigenvectors[:, k]) - 1.0) < 1e-12
 
     def test_both_kernels_share_eigenfunctions(self):
         # eigenfunctions of the pairwise and covariance kernels agree on

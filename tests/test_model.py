@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from kfpca import (
     serialize_model,
     true_eigenfunctions,
 )
+import kfpca.eigen
+import kfpca.model
 
 
 def one_factor_sample(n=12, seed=0):
@@ -123,6 +126,40 @@ class TestFit:
         b = fit(sample, config)
         assert np.array_equal(a.scores, b.scores)
 
+    @pytest.mark.parametrize("method", ["kfpca", "cov"])
+    def test_plain_fit_makes_one_eigensolve(self, method, monkeypatch):
+        calls = []
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+        fit(noisy_sample(seed=15), FitConfig(method=method, n_components=0.95))
+        assert calls == ["eigh"]
+
+    @pytest.mark.parametrize(
+        "module, options, rows",
+        [(kfpca.model, {"presmooth": True}, 20), (kfpca.eigen, {"eigen_smooth": True}, 2)],
+    )
+    def test_smoothing_is_one_call_on_the_rows_kept(self, module, options, rows, monkeypatch):
+        # presmoothing takes all N curves at once; eigen-smoothing only the K kept
+        shapes = []
+        smooth_rows = module.smooth_rows
+
+        def recording(grid, values, bandwidth="auto"):
+            shapes.append(values.shape)
+            return smooth_rows(grid, values, bandwidth)
+
+        monkeypatch.setattr(module, "smooth_rows", recording)
+        model = fit(noisy_sample(n=20, seed=16), FitConfig(n_components=2, **options))
+        assert model.n_components == 2
+        assert shapes == [(rows, 51)]
+
     @pytest.mark.parametrize("bad", [0, -1, 0.0, 1.0, -0.5])
     def test_invalid_n_components_config(self, bad):
         with pytest.raises(ConfigurationError):
@@ -187,6 +224,50 @@ class TestSerialization:
         save_model(model, path)
         back = load_model(path)
         assert np.array_equal(back.scores, model.scores)
+
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        model = fit(noisy_sample(seed=21), FitConfig(n_components=2))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        before = path.read_bytes()
+
+        def half_serializable(m):
+            # json.dump has written the first numbers when it reaches object()
+            return {"scores": [1.0, 2.0, object()]}
+
+        monkeypatch.setattr(kfpca.model, "serialize_model", half_serializable)
+        with pytest.raises(TypeError):
+            save_model(model, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.json"]
+
+    def test_saved_bytes_are_one_json_line(self, tmp_path):
+        model = fit(noisy_sample(seed=21), FitConfig(n_components=2))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert path.read_bytes() == (json.dumps(serialize_model(model)) + "\n").encode()
+
+    @pytest.mark.parametrize(
+        "field, value, path",
+        [
+            ("grid", 5, "grid"),
+            ("eigenfunctions", 3, "eigenfunctions"),
+            ("config", None, "config"),
+            ("config.seed", "x", "config"),
+            ("spectrum_remainder", "x", "spectrum_remainder"),
+        ],
+    )
+    def test_malformed_field_raises_parse_error(self, field, value, path):
+        model = fit(noisy_sample(seed=22), FitConfig(n_components=2))
+        doc = serialize_model(model)
+        *parents, leaf = field.split(".")
+        target = doc
+        for name in parents:
+            target = target[name]
+        target[leaf] = value
+        with pytest.raises(ParseError) as err:
+            deserialize_model(doc)
+        assert err.value.path == path
 
     def test_missing_field_named(self):
         model = fit(noisy_sample(seed=22), FitConfig(n_components=2))
