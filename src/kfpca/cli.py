@@ -3,8 +3,11 @@
 Subcommands: ``fit`` (model a CSV dataset), ``simulate`` (reproduce a
 Monte Carlo table row), ``mean-band`` (bootstrap band for the mean curve),
 and ``rate`` (sup-norm convergence diagnostic).  Exit codes: 0 success,
-2 bad input or configuration, 3 numerical/fit failure.  Output files are
-written to a temporary path and renamed on success.
+2 bad input or configuration, 3 numerical/fit failure.  ``main`` alone
+maps an error to its code, by its class: EstimationError and DomainError
+exit 3; every other KfpcaError, and an OSError from reading or writing a
+user path, exits 2.  Output files are written to a temporary path and
+renamed on success.
 """
 
 import argparse
@@ -14,11 +17,11 @@ import sys
 import numpy as np
 
 from .core import FunctionalSample, Grid
-from .errors import ConfigurationError, InputError, KfpcaError, ParseError
+from .errors import ConfigurationError, DomainError, EstimationError, KfpcaError, ParseError
 from .estimators import bootstrap_mean_band
 from .metrics import METRIC_NAMES, aggregate, convergence_rate, run_scenario
 from .model import METHODS, FitConfig, atomic_write, fit, save_model
-from .simgen import DISTRIBUTIONS, SimulationScenario
+from .simgen import SimulationScenario
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -28,54 +31,47 @@ EXIT_NUMERIC = 3
 def read_dataset(path) -> FunctionalSample:
     """Parse a dataset CSV: header = grid times (optional leading "id"
     column), one row of observations per subject."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}")
-    if not rows:
-        raise ParseError(f"dataset file {path} is empty", path=str(path))
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            return _parse_dataset(path, csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ParseError(f"{path}: cannot read as UTF-8 CSV: {exc}", path=str(path))
 
-    header = rows[0]
+
+def _parse_dataset(path, rows) -> FunctionalSample:
+    """The sample in CSV ``rows``, each row converted as it is read."""
+    header = next(rows, None)
+    if header is None:
+        raise ParseError(f"dataset file {path} is empty", path=str(path))
     has_id = bool(header) and header[0].strip().lower() == "id"
     start = 1 if has_id else 0
-    if len(header) - start < 1:
-        raise ParseError(f"{path}: header has no grid values", path=str(path))
 
-    def parse_cell(text, line, col):
-        try:
-            return float(text)
-        except ValueError:
-            raise ParseError(
-                f"{path}: line {line}, column {col}: {text!r} is not a number",
-                path=str(path),
-            )
+    def parse_row(row, line):
+        for col, text in enumerate(row[start:], start + 1):
+            try:
+                yield float(text)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: line {line}, column {col}: {text!r} is not a number",
+                    path=str(path),
+                )
 
-    points = [
-        parse_cell(cell, 1, j + 1) for j, cell in enumerate(header[start:], start)
-    ]
-    d = len(points)
+    try:
+        grid = Grid.from_points(list(parse_row(header, 1)))
+    except ConfigurationError as exc:
+        raise ParseError(f"{path}: bad grid header: {exc}", path=str(path))
+    d = grid.size
     values = []
-    for i, row in enumerate(rows[1:], 2):
+    for line, row in enumerate(rows, 2):
         if not row:
             continue
         if len(row) - start != d:
             raise ParseError(
-                f"{path}: line {i}: expected {d + start} cells, got {len(row)}",
+                f"{path}: line {line}: expected {d + start} cells, got {len(row)}",
                 path=str(path),
             )
-        values.append(
-            [parse_cell(cell, i, j + 1) for j, cell in enumerate(row[start:], start)]
-        )
-    if d < 4:
-        raise InputError(f"{path}: need at least 4 grid points, got {d}")
-    if len(values) < 3:
-        raise InputError(f"{path}: need at least 3 subjects, got {len(values)}")
-    try:
-        grid = Grid.from_points(points)
-    except ConfigurationError as exc:
-        raise ParseError(f"{path}: bad grid header: {exc}", path=str(path))
-    return FunctionalSample(grid, np.asarray(values))
+        values.append(np.fromiter(parse_row(row, line), float, count=d))
+    return FunctionalSample(grid, np.array(values).reshape(len(values), d))
 
 
 def _write_csv(path, header, rows):
@@ -121,49 +117,24 @@ def _parse_methods(text: str) -> tuple[str, ...]:
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
     try:
-        sizes = tuple(int(s) for s in text.split(",") if s.strip())
+        return tuple(int(s) for s in text.split(",") if s.strip())
     except ValueError:
         raise ConfigurationError(f"--sizes must be a comma list of integers, got {text!r}")
-    if len(sizes) < 3:
-        raise ConfigurationError("--sizes needs at least 3 increasing sample sizes")
-    if any(b <= a for a, b in zip(sizes[:-1], sizes[1:])) or sizes[0] < 2:
-        raise ConfigurationError("--sizes must be strictly increasing and >= 2")
-    return sizes
-
-
-def _normalize_dist(text: str) -> str:
-    name = text.strip().lower().replace("-", "_")
-    if name not in DISTRIBUTIONS:
-        raise ConfigurationError(
-            f"unknown distribution {text!r}; valid: " + ", ".join(DISTRIBUTIONS)
-        )
-    return name
-
-
-def _fail(exc, code) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return code
 
 
 def cmd_fit(args) -> int:
-    try:
-        sample = read_dataset(args.input)
-        config = FitConfig(
-            method=args.method,
-            n_components=_parse_ncomp(args.ncomp),
-            presmooth=args.presmooth,
-            presmooth_bandwidth=_parse_bandwidth(args.presmooth_bandwidth),
-            eigen_smooth=args.eigen_smooth,
-            eigen_bandwidth=_parse_bandwidth(args.eigen_bandwidth),
-            seed=args.seed,
-        )
-    except KfpcaError as exc:
-        return _fail(exc, EXIT_INPUT)
-    try:
-        model = fit(sample, config)
-        save_model(model, args.out)
-    except KfpcaError as exc:
-        return _fail(exc, EXIT_NUMERIC)
+    sample = read_dataset(args.input)
+    config = FitConfig(
+        method=args.method,
+        n_components=_parse_ncomp(args.ncomp),
+        presmooth=args.presmooth,
+        presmooth_bandwidth=_parse_bandwidth(args.presmooth_bandwidth),
+        eigen_smooth=args.eigen_smooth,
+        eigen_bandwidth=_parse_bandwidth(args.eigen_bandwidth),
+        seed=args.seed,
+    )
+    model = fit(sample, config)
+    save_model(model, args.out)
     variances = " ".join(f"{v:.6g}" for v in model.component_variances)
     print(f"components: {model.n_components}")
     print(f"fve: {model.fraction_variance_explained():.6f}")
@@ -173,46 +144,39 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        dist = _normalize_dist(args.dist)
-        methods = _parse_methods(args.methods)
-        scenario = SimulationScenario(
-            case=args.case,
-            distribution=dist,
-            n_subjects=args.n,
-            n_points=args.grid,
-            sigma2=args.sigma2,
-            runs=args.runs,
-            seed=args.seed,
-        )
-    except KfpcaError as exc:
-        return _fail(exc, EXIT_INPUT)
-    try:
-        results = run_scenario(scenario, methods)
-        rows = []
-        for method in methods:
-            table = aggregate(results[method])
-            for metric in METRIC_NAMES:
-                mean, sd = table[metric]
-                rows.append(
-                    [
-                        scenario.case,
-                        scenario.distribution,
-                        method,
-                        metric,
-                        repr(mean),
-                        repr(sd),
-                        scenario.runs,
-                        scenario.seed,
-                    ]
-                )
-        _write_csv(
-            args.out,
-            ["case", "distribution", "method", "metric", "mean", "sd", "runs", "seed"],
-            rows,
-        )
-    except KfpcaError as exc:
-        return _fail(exc, EXIT_NUMERIC)
+    methods = _parse_methods(args.methods)
+    scenario = SimulationScenario(
+        case=args.case,
+        distribution=args.dist.strip().lower().replace("-", "_"),
+        n_subjects=args.n,
+        n_points=args.grid,
+        sigma2=args.sigma2,
+        runs=args.runs,
+        seed=args.seed,
+    )
+    results = run_scenario(scenario, methods)
+    rows = []
+    for method in methods:
+        table = aggregate(results[method])
+        for metric in METRIC_NAMES:
+            mean, sd = table[metric]
+            rows.append(
+                [
+                    scenario.case,
+                    scenario.distribution,
+                    method,
+                    metric,
+                    repr(mean),
+                    repr(sd),
+                    scenario.runs,
+                    scenario.seed,
+                ]
+            )
+    _write_csv(
+        args.out,
+        ["case", "distribution", "method", "metric", "mean", "sd", "runs", "seed"],
+        rows,
+    )
     for row in rows:
         print(
             f"case {row[0]} {row[1]} {row[2]:>5s} {row[3]:>5s}: "
@@ -223,48 +187,27 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_mean_band(args) -> int:
-    try:
-        sample = read_dataset(args.input)
-        if not 0.0 < args.level < 1.0:
-            raise ConfigurationError(f"--level must lie in (0, 1), got {args.level}")
-        if args.reps < 100:
-            raise ConfigurationError(
-                f"--reps must be at least 100, got {args.reps}"
-            )
-    except KfpcaError as exc:
-        return _fail(exc, EXIT_INPUT)
-    try:
-        band = bootstrap_mean_band(sample, args.level, args.reps, args.seed)
-        rows = [
-            [repr(float(t)), repr(float(m)), repr(float(lo)), repr(float(hi))]
-            for t, m, lo, hi in zip(
-                sample.grid.points, band.mean.values, band.lower.values, band.upper.values
-            )
-        ]
-        _write_csv(args.out, ["t", "mean", "lower", "upper"], rows)
-    except KfpcaError as exc:
-        return _fail(exc, EXIT_NUMERIC)
+    sample = read_dataset(args.input)
+    band = bootstrap_mean_band(sample, args.level, args.reps, args.seed)
+    rows = [
+        [repr(float(t)), repr(float(m)), repr(float(lo)), repr(float(hi))]
+        for t, m, lo, hi in zip(
+            sample.grid.points, band.mean.values, band.lower.values, band.upper.values
+        )
+    ]
+    _write_csv(args.out, ["t", "mean", "lower", "upper"], rows)
     print(f"band written to {args.out}")
     return EXIT_OK
 
 
 def cmd_rate(args) -> int:
-    try:
-        sizes = _parse_sizes(args.sizes)
-        if args.reps < 1:
-            raise ConfigurationError("--reps must be at least 1")
-        scenario = SimulationScenario(seed=args.seed)
-    except KfpcaError as exc:
-        return _fail(exc, EXIT_INPUT)
-    try:
-        diag = convergence_rate(scenario, sizes, args.reps)
-        rows = [
-            [n, repr(float(err)), repr(diag.fitted_slope)]
-            for n, err in zip(diag.sample_sizes, diag.sup_errors)
-        ]
-        _write_csv(args.out, ["n", "mean_sup_error", "fitted_slope"], rows)
-    except KfpcaError as exc:
-        return _fail(exc, EXIT_NUMERIC)
+    scenario = SimulationScenario(seed=args.seed)
+    diag = convergence_rate(scenario, _parse_sizes(args.sizes), args.reps)
+    rows = [
+        [n, repr(float(err)), repr(diag.fitted_slope)]
+        for n, err in zip(diag.sample_sizes, diag.sup_errors)
+    ]
+    _write_csv(args.out, ["n", "mean_sup_error", "fitted_slope"], rows)
     print(f"fitted slope: {diag.fitted_slope:.4f}")
     print(f"rate table written to {args.out}")
     return EXIT_OK
@@ -327,7 +270,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (KfpcaError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        numeric = isinstance(exc, (EstimationError, DomainError))
+        return EXIT_NUMERIC if numeric else EXIT_INPUT
 
 
 if __name__ == "__main__":

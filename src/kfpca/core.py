@@ -81,8 +81,9 @@ class Grid:
         return self.span / (self.size - 1)
 
     def matches(self, other: "Grid") -> bool:
-        return self.points.shape == other.points.shape and np.array_equal(
-            self.points, other.points
+        return other is self or (
+            self.points.shape == other.points.shape
+            and np.array_equal(self.points, other.points)
         )
 
 

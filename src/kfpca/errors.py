@@ -1,8 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each invariant is checked once, by the type or function that owns it; the
+command line maps the class of the error to its exit code (``cli.main``).
+"""
 
 
 class KfpcaError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  The command line exits 3 on
+    EstimationError and DomainError (numerical failure) and 2 on every
+    other subclass (bad input or configuration)."""
 
 
 class ConfigurationError(KfpcaError):
@@ -26,7 +32,8 @@ class DomainError(KfpcaError):
 
 
 class ParseError(KfpcaError):
-    """A document or file could not be parsed; ``path`` names the offending field."""
+    """A document or file could not be parsed; ``path`` names the offending
+    field, or is empty when the document as a whole is at fault."""
 
     def __init__(self, message: str, path: str = ""):
         super().__init__(message)

@@ -99,16 +99,21 @@ def mean_hat(sample: FunctionalSample) -> Curve:
     return Curve(sample.grid, sample.values.mean(axis=0))
 
 
+def _centered(sample: FunctionalSample) -> tuple[np.ndarray, np.ndarray, float]:
+    """Column-centered values, each centered curve's squared norm q_i, and
+    the mean pairwise squared norm.  Differences X_i - X_j do not see the
+    centering, and after it the cross terms of sum_{i<j} |X_i - X_j|^2
+    vanish, leaving n sum(q); centering first also keeps the Gram identity
+    free of cancellation when the curves sit far from zero."""
+    xc = sample.values - sample.values.mean(axis=0)
+    q = np.einsum("ij,j,ij->i", xc, sample.grid.weights, xc)
+    return xc, q, 2.0 * float(q.sum()) / (xc.shape[0] - 1)
+
+
 def mean_pairwise_sq_norm(sample: FunctionalSample) -> float:
     """Average of ||X_i - X_j||^2 over unordered pairs, computed without
-    materializing the pairs (Gram identity)."""
-    x = sample.values
-    w = sample.grid.weights
-    n = x.shape[0]
-    q = np.einsum("ij,j,ij->i", x, w, x)
-    colsum = x.sum(axis=0)
-    total = n * q.sum() - colsum @ (w * colsum)
-    return float(max(total, 0.0)) / (n * (n - 1) / 2.0)
+    materializing the pairs."""
+    return _centered(sample)[2]
 
 
 def kendall_tau_hat(
@@ -139,8 +144,10 @@ def kendall_tau_hat(
     """
     if degenerate_tol < 0:
         raise ConfigurationError("degenerate_tol must be non-negative")
-    threshold = degenerate_tol * mean_pairwise_sq_norm(sample)
-    accum, ordered_retained = _pair_sum(sample.values, sample.grid.weights, threshold)
+    xc, q, mean_sq_norm = _centered(sample)
+    accum, ordered_retained = _pair_sum(
+        xc, sample.grid.weights, q, degenerate_tol * mean_sq_norm
+    )
     if ordered_retained == 0:
         raise EstimationError("all curve pairs are degenerate")
     # the accumulated sum already equals the unordered-pair sum
@@ -148,21 +155,22 @@ def kendall_tau_hat(
     return DiscretizedKernel(sample.grid, (accum + accum.T) / 2.0, KENDALL)
 
 
-def _pair_sum(x: np.ndarray, w: np.ndarray, threshold: float) -> tuple[np.ndarray, int]:
+def _pair_sum(
+    x: np.ndarray, w: np.ndarray, q: np.ndarray, threshold: float
+) -> tuple[np.ndarray, int]:
     """Sum of outer(D, D)/|D|^2 over unordered pairs D = X_i - X_j with
-    |D|^2 > threshold, and the count of such ordered pairs.  Its block
-    scratch is freed before the caller builds (and eigensolves) the kernel.
+    |D|^2 > threshold, and the count of such ordered pairs, for centered
+    rows x with squared norms q.  Its block scratch is freed before the
+    caller builds (and eigensolves) the kernel.
     """
     n, d = x.shape
-    xw = x * w
-    q = np.einsum("ij,ij->i", x, xw)
     # X^T (diag(r) - C) X with C[i, j] = 1/|X_i - X_j|^2 on retained pairs;
     # squared norms from the Gram identity q_i + q_j - 2 <X_i, X_j>_w
     accum = np.zeros((d, d))
     ordered_retained = 0
     for i0 in range(0, n, _PAIR_BLOCK):
         i1 = min(i0 + _PAIR_BLOCK, n)
-        gram = xw[i0:i1] @ x.T
+        gram = (x[i0:i1] * w) @ x.T
         nrm = q[i0:i1, None] + q[None, :] - 2.0 * gram
         np.maximum(nrm, 0.0, out=nrm)
         mask = nrm > threshold

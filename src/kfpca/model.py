@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import Curve, FunctionalSample, Grid, _frozen_array, smooth_rows
 from .eigen import EigenSystem, eigen_decompose, project_scores
-from .errors import ConfigurationError, InputError, ParseError
+from .errors import ConfigurationError, DimensionError, InputError, KfpcaError, ParseError
 from .estimators import covariance_hat, kendall_tau_hat, mean_hat
 
 KFPCA = "kfpca"
@@ -79,14 +79,27 @@ class FpcaModel:
     _spectrum_remainder: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "operator_eigenvalues", _frozen_array(self.operator_eigenvalues)
-        )
-        object.__setattr__(
-            self, "component_variances", _frozen_array(self.component_variances)
-        )
-        object.__setattr__(self, "scores", _frozen_array(self.scores))
+        for name in ("operator_eigenvalues", "component_variances", "scores"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
         object.__setattr__(self, "eigenfunctions", tuple(self.eigenfunctions))
+        k = len(self.eigenfunctions)
+        if self.method != self.config.method:
+            raise ConfigurationError(
+                f"method {self.method!r} disagrees with config.method {self.config.method!r}"
+            )
+        if not all(c.grid.matches(self.grid) for c in (self.mean, *self.eigenfunctions)):
+            raise DimensionError("mean and eigenfunctions must lie on the model grid")
+        if self.operator_eigenvalues.shape != (k,) or self.component_variances.shape != (k,):
+            raise DimensionError(f"need {k} operator eigenvalues and {k} component variances")
+        if self.scores.ndim != 2 or self.scores.shape[1] != k:
+            raise DimensionError(f"scores must be an N x {k} matrix")
+        ev, var = self.operator_eigenvalues, self.component_variances
+        if (ev[1:] > ev[:-1]).any():
+            raise InputError("operator eigenvalues must be non-increasing")
+        if not all(np.isfinite(a).all() for a in (ev, var, self.scores)):
+            raise InputError("eigenvalues, component variances and scores must be finite")
+        if (var < 0).any():
+            raise InputError("component variances must be non-negative")
 
     @property
     def n_components(self) -> int:
@@ -194,24 +207,19 @@ def _config_to_doc(config: FitConfig) -> dict:
 
 
 def _config_from_doc(doc: dict) -> FitConfig:
-    try:
-        n = doc["n_components"]
-        if isinstance(n, float) and n >= 1.0:
-            n = int(n)
-        return FitConfig(
-            method=doc["method"],
-            n_components=n,
-            presmooth=bool(doc["presmooth"]),
-            presmooth_bandwidth=doc["presmooth_bandwidth"],
-            eigen_smooth=bool(doc["eigen_smooth"]),
-            eigen_bandwidth=doc["eigen_bandwidth"],
-            degenerate_tol=float(doc["degenerate_tol"]),
-            seed=int(doc["seed"]),
-        )
-    except KeyError as exc:
-        raise ParseError(f"config is missing field {exc.args[0]!r}", path=f"config.{exc.args[0]}")
-    except (TypeError, ValueError, ConfigurationError) as exc:
-        raise ParseError(f"malformed config: {exc}", path="config")
+    n = doc["n_components"]
+    if isinstance(n, float) and n >= 1.0:
+        n = int(n)
+    return FitConfig(
+        method=doc["method"],
+        n_components=n,
+        presmooth=bool(doc["presmooth"]),
+        presmooth_bandwidth=doc["presmooth_bandwidth"],
+        eigen_smooth=bool(doc["eigen_smooth"]),
+        eigen_bandwidth=doc["eigen_bandwidth"],
+        degenerate_tol=float(doc["degenerate_tol"]),
+        seed=int(doc["seed"]),
+    )
 
 
 def serialize_model(model: FpcaModel) -> dict:
@@ -234,107 +242,66 @@ def serialize_model(model: FpcaModel) -> dict:
     }
 
 
-_REQUIRED_FIELDS = (
-    "schema_version",
-    "method",
-    "grid",
-    "mean",
-    "eigenvalues_operator",
-    "component_variances",
-    "eigenfunctions",
-    "scores",
-    "config",
-)
+def _parse(path: str, build):
+    """``build()``, with a missing key or a value its constructor rejects
+    reported as a ParseError at ``path``."""
+    where = path or "model"
+    try:
+        return build()
+    except KeyError as exc:
+        raise ParseError(f"{where}: missing field {exc.args[0]!r}", path=path)
+    except (KfpcaError, OverflowError, TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}", path=path)
 
 
 def deserialize_model(doc: dict) -> FpcaModel:
-    """Rebuild a model from its document, validating shape consistency.
+    """Rebuild a model from its document: each field through its own
+    constructor, then the model through FpcaModel's invariants.
 
     Raises
     ------
     ParseError
-        Missing or malformed fields; ``path`` names the offending field.
+        Missing, malformed or inconsistent fields; ``path`` names the
+        offending field, or is empty when the fields disagree.
     """
     if not isinstance(doc, dict):
         raise ParseError("model document must be a JSON object", path="")
-    for name in _REQUIRED_FIELDS:
-        if name not in doc:
-            raise ParseError(f"missing field {name!r}", path=name)
-    if doc["schema_version"] != SCHEMA_VERSION:
+    version = _parse("schema_version", lambda: doc["schema_version"])
+    if version != SCHEMA_VERSION:
         raise ParseError(
-            f"unsupported schema_version {doc['schema_version']!r}",
-            path="schema_version",
-        )
-    if not isinstance(doc["grid"], dict):
-        raise ParseError("field 'grid' must be a JSON object", path="grid")
-    if "points" not in doc["grid"]:
-        raise ParseError("missing field 'grid.points'", path="grid.points")
-
-    def _vector(name, raw):
-        try:
-            arr = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError):
-            raise ParseError(f"field {name!r} is not numeric", path=name)
-        if arr.ndim != 1:
-            raise ParseError(f"field {name!r} must be a flat array", path=name)
-        return arr
-
-    points = _vector("grid.points", doc["grid"]["points"])
-    try:
-        grid = Grid.from_points(points)
-    except ConfigurationError as exc:
-        raise ParseError(f"bad grid: {exc}", path="grid.points")
-    d = grid.size
-
-    mean = _vector("mean", doc["mean"])
-    if mean.size != d:
-        raise ParseError(
-            f"mean length {mean.size} does not match grid length {d}", path="mean"
-        )
-    eigenvalues = _vector("eigenvalues_operator", doc["eigenvalues_operator"])
-    variances = _vector("component_variances", doc["component_variances"])
-
-    if not isinstance(doc["eigenfunctions"], list):
-        raise ParseError("field 'eigenfunctions' must be a list", path="eigenfunctions")
-    funcs = []
-    for k, raw in enumerate(doc["eigenfunctions"]):
-        vec = _vector(f"eigenfunctions[{k}]", raw)
-        if vec.size != d:
-            raise ParseError(
-                f"eigenfunction {k} length {vec.size} does not match grid length {d}",
-                path=f"eigenfunctions[{k}]",
-            )
-        funcs.append(Curve(grid, vec))
-    if len(funcs) != eigenvalues.size or len(funcs) != variances.size:
-        raise ParseError(
-            "eigenfunctions, eigenvalues_operator, and component_variances disagree in length",
-            path="eigenfunctions",
+            f"unsupported schema_version {version!r}", path="schema_version"
         )
 
-    try:
-        scores = np.asarray(doc["scores"], dtype=float)
-    except (TypeError, ValueError):
-        raise ParseError("field 'scores' is not numeric", path="scores")
-    if scores.ndim != 2 or scores.shape[1] != len(funcs):
-        raise ParseError(
-            "scores must be an N x K matrix matching the eigenfunction count",
-            path="scores",
-        )
+    def array(key):
+        return _parse(key, lambda: np.asarray(doc[key], dtype=float))
 
-    try:
-        remainder = float(doc.get("spectrum_remainder", 0.0))
-    except (TypeError, ValueError):
-        raise ParseError("field 'spectrum_remainder' is not numeric", path="spectrum_remainder")
-    return FpcaModel(
-        grid=grid,
-        mean=Curve(grid, mean),
-        eigenfunctions=tuple(funcs),
-        operator_eigenvalues=eigenvalues,
-        component_variances=variances,
-        scores=scores,
-        method=doc["method"],
-        config=_config_from_doc(doc["config"]),
-        _spectrum_remainder=remainder,
+    grid = _parse("grid", lambda: Grid.from_points(doc["grid"]["points"]))
+    mean = _parse("mean", lambda: Curve(grid, doc["mean"]))
+    funcs = _parse(
+        "eigenfunctions",
+        lambda: tuple(Curve(grid, row) for row in doc["eigenfunctions"]),
+    )
+    eigenvalues = array("eigenvalues_operator")
+    variances = array("component_variances")
+    scores = array("scores")
+    method = _parse("method", lambda: doc["method"])
+    config = _parse("config", lambda: _config_from_doc(doc["config"]))
+    remainder = _parse(
+        "spectrum_remainder", lambda: float(doc.get("spectrum_remainder", 0.0))
+    )
+    return _parse(
+        "",
+        lambda: FpcaModel(
+            grid=grid,
+            mean=mean,
+            eigenfunctions=funcs,
+            operator_eigenvalues=eigenvalues,
+            component_variances=variances,
+            scores=scores,
+            method=method,
+            config=config,
+            _spectrum_remainder=remainder,
+        ),
     )
 
 

@@ -253,6 +253,15 @@ def _standard_skew_t(n: int, rng: np.random.Generator, slant: float, df: float):
     return sn / np.sqrt(rng.chisquare(df, n) / df)
 
 
+def _signed_radial(
+    lambda_k: float, eta: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """The ec2 score sqrt(lambda_k) eta u / sqrt(2) for radials eta, with u a
+    random sign drawn from ``rng``."""
+    u = rng.integers(0, 2, eta.size) * 2 - 1
+    return math.sqrt(lambda_k) * eta * u / math.sqrt(2.0)
+
+
 def draw_scores(
     distribution: str, lambda_k: float, n: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -277,9 +286,7 @@ def draw_scores(
         half = math.sqrt(lambda_k / 2.0)
         return signs * half + half * rng.standard_normal(n)
     if distribution == "ec2":
-        eta = rng.standard_exponential(n)
-        u = rng.integers(0, 2, n) * 2 - 1
-        return math.sqrt(lambda_k) * eta * u / math.sqrt(2.0)
+        return _signed_radial(lambda_k, rng.standard_exponential(n), rng)
     z = _standard_skew_t(n, rng, SKEW_T_SLANT, SKEW_T_DF)
     mu_z, var_z, _, _ = skew_t_shape_moments(SKEW_T_SLANT, SKEW_T_DF)
     scale = math.sqrt(lambda_k / var_z)
@@ -303,8 +310,7 @@ def _draw_score_matrix(
     if distribution == "ec2":
         eta = rng.standard_exponential(n)
         for k in active:
-            u = rng.integers(0, 2, n) * 2 - 1
-            scores[:, k] = math.sqrt(lambdas[k]) * eta * u / math.sqrt(2.0)
+            scores[:, k] = _signed_radial(lambdas[k], eta, rng)
         return scores
     for k in active:
         scores[:, k] = draw_scores(distribution, lambdas[k], n, rng)

@@ -6,7 +6,7 @@ import pytest
 
 from kfpca import SimulationScenario, generate, load_model
 from kfpca.cli import main, read_dataset
-from kfpca.errors import InputError, ParseError
+from kfpca.errors import ParseError
 
 
 def write_dataset(path, sample, with_id=False):
@@ -65,15 +65,16 @@ class TestReadDataset:
         assert "line 3" in str(err.value)
         assert "column 3" in str(err.value)
 
-    def test_minimum_shape_enforced(self, tmp_path):
+    def test_minimum_shape_enforced(self, tmp_path, capsys):
+        # fit needs 4 grid points and 3 curves; read_dataset leaves that to it
         path = tmp_path / "narrow.csv"
         path.write_text("0,1,2\n1,2,3\n4,5,6\n7,8,9\n")
-        with pytest.raises(InputError):
-            read_dataset(path)
+        assert main(["fit", str(path), "--out", str(tmp_path / "m.json")]) == 2
+        assert "at least 4 grid points" in capsys.readouterr().err
         path2 = tmp_path / "short.csv"
         path2.write_text("0,1,2,3\n1,2,3,4\n5,6,7,8\n")
-        with pytest.raises(InputError):
-            read_dataset(path2)
+        assert main(["fit", str(path2), "--out", str(tmp_path / "m.json")]) == 2
+        assert "at least 3 curves" in capsys.readouterr().err
 
 
 class TestCmdFit:
@@ -95,11 +96,11 @@ class TestCmdFit:
         assert code == 2
         assert "empty.csv" in capsys.readouterr().err
 
-    def test_oversized_ncomp_exits_3(self, tmp_path, activity_like_csv):
+    def test_oversized_ncomp_exits_2(self, tmp_path, activity_like_csv):
         code = main(
             ["fit", str(activity_like_csv), "--ncomp", "100", "--out", str(tmp_path / "m.json")]
         )
-        assert code == 3
+        assert code == 2
 
     def test_cov_method_and_int_ncomp(self, tmp_path, activity_like_csv):
         out = tmp_path / "model.json"
@@ -274,6 +275,51 @@ class TestCmdRate:
 
 
 class TestMainPlumbing:
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["fit", "{data}", "--out", "{missing}/m.json"], 2, "No such file"),
+            (
+                ["simulate", "--n", "20", "--grid", "11", "--runs", "1",
+                 "--out", "{missing}/r.csv"],
+                2,
+                "No such file",
+            ),
+            (["mean-band", "{data}", "--reps", "100", "--out", "{missing}/b.csv"], 2,
+             "No such file"),
+            (["rate", "--sizes", "10,20,40", "--reps", "1", "--out", "{missing}/r.csv"], 2,
+             "No such file"),
+            (["fit", "{latin1}", "--out", "{out}"], 2, "UTF-8"),
+            (["fit", "{data}", "--presmooth", "--presmooth-bandwidth", "-1", "--out", "{out}"],
+             2, "bandwidth must be positive"),
+            (["fit", "{identical}", "--method", "kfpca", "--out", "{out}"], 3,
+             "all curve pairs are degenerate"),
+        ],
+        ids=[
+            "fit-missing-dir", "simulate-missing-dir", "mean-band-missing-dir",
+            "rate-missing-dir", "non-utf8-csv", "negative-bandwidth", "identical-curves",
+        ],
+    )
+    def test_error_is_one_line_and_its_class_sets_the_exit_code(
+        self, tmp_path, activity_like_csv, capsys, argv, code, message
+    ):
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(b"0,1,2,3\n1,2,3,4\n5,6,7,\xe9\n9,8,7,6\n")
+        identical = tmp_path / "identical.csv"
+        identical.write_text("0,1,2,3,4,5\n" + "2.5,2.5,2.5,2.5,2.5,2.5\n" * 5)
+        paths = {
+            "data": activity_like_csv,
+            "latin1": latin1,
+            "identical": identical,
+            "missing": tmp_path / "missing",
+            "out": tmp_path / "out",
+        }
+        assert main([arg.format(**paths) for arg in argv]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert "Traceback" not in err
+
     def test_no_command_exits_2(self):
         assert main([]) == 2
 

@@ -254,7 +254,12 @@ class TestSerialization:
             ("eigenfunctions", 3, "eigenfunctions"),
             ("config", None, "config"),
             ("config.seed", "x", "config"),
+            ("config.seed", float("inf"), "config"),
             ("spectrum_remainder", "x", "spectrum_remainder"),
+            ("method", "cov", ""),
+            ("eigenvalues_operator", [1.0, 2.0], ""),
+            ("scores", [[float("nan"), 0.0]], ""),
+            ("component_variances", [1.0, -1.0], ""),
         ],
     )
     def test_malformed_field_raises_parse_error(self, field, value, path):
