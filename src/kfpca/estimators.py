@@ -23,8 +23,9 @@ TRACE_ATOL = 1e-8
 # purpose tag for bootstrap replicate streams (see core.derive_rng)
 _BOOTSTRAP_STREAM = 11
 
-# pair-loop block size: caps the (block x N) scratch matrices
-_PAIR_BLOCK = 1024
+# edge of the square pair tiles: each float64 scratch array of the pair sum
+# is 512 KiB, whatever N is
+_PAIR_TILE = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,12 +111,6 @@ def _centered(sample: FunctionalSample) -> tuple[np.ndarray, np.ndarray, float]:
     return xc, q, 2.0 * float(q.sum()) / (xc.shape[0] - 1)
 
 
-def mean_pairwise_sq_norm(sample: FunctionalSample) -> float:
-    """Average of ||X_i - X_j||^2 over unordered pairs, computed without
-    materializing the pairs."""
-    return _centered(sample)[2]
-
-
 def kendall_tau_hat(
     sample: FunctionalSample, degenerate_tol: float = 1e-12
 ) -> DiscretizedKernel:
@@ -160,28 +155,46 @@ def _pair_sum(
 ) -> tuple[np.ndarray, int]:
     """Sum of outer(D, D)/|D|^2 over unordered pairs D = X_i - X_j with
     |D|^2 > threshold, and the count of such ordered pairs, for centered
-    rows x with squared norms q.  Its block scratch is freed before the
-    caller builds (and eigensolves) the kernel.
+    rows x with squared norms q.
+
+    The N x N pair matrix is walked in square tiles of edge ``_PAIR_TILE``,
+    only those on or above the diagonal, and within a diagonal tile only
+    j > i, so each unordered pair is visited once.  Each tile's scratch
+    arrays are ``_PAIR_TILE``^2 floats, independent of N; beyond them the
+    sum holds one N x d array and is freed before the caller builds (and
+    eigensolves) the kernel.
     """
     n, d = x.shape
-    # X^T (diag(r) - C) X with C[i, j] = 1/|X_i - X_j|^2 on retained pairs;
-    # squared norms from the Gram identity q_i + q_j - 2 <X_i, X_j>_w
-    accum = np.zeros((d, d))
-    ordered_retained = 0
-    for i0 in range(0, n, _PAIR_BLOCK):
-        i1 = min(i0 + _PAIR_BLOCK, n)
-        gram = (x[i0:i1] * w) @ x.T
-        nrm = q[i0:i1, None] + q[None, :] - 2.0 * gram
-        np.maximum(nrm, 0.0, out=nrm)
-        mask = nrm > threshold
-        mask[np.arange(i1 - i0), np.arange(i0, i1)] = False
-        inv = np.zeros_like(nrm)
-        np.divide(1.0, nrm, out=inv, where=mask)
-        r = inv.sum(axis=1)
-        accum += (x[i0:i1] * r[:, None]).T @ x[i0:i1]
-        accum -= x[i0:i1].T @ (inv @ x)
-        ordered_retained += int(mask.sum())
-    return accum, ordered_retained
+    # X^T (diag(r) - C - C^T) X with C[i, j] = 1/|X_i - X_j|^2 on retained
+    # pairs i < j and r the row sums of C + C^T; squared norms from the Gram
+    # identity q_i + q_j - 2 <X_i, X_j>_w
+    r = np.zeros(n)
+    cross = np.zeros((d, d))
+    retained = 0
+    for i0 in range(0, n, _PAIR_TILE):
+        i1 = min(i0 + _PAIR_TILE, n)
+        xi = x[i0:i1]
+        # scaling by -2 is exact, so this gives -2 <X_i, X_j>_w bit for bit
+        xiw = xi * (-2.0 * w)
+        for j0 in range(i0, n, _PAIR_TILE):
+            j1 = min(j0 + _PAIR_TILE, n)
+            xj = x[j0:j1]
+            nrm = xiw @ xj.T
+            nrm += q[i0:i1, None]
+            nrm += q[None, j0:j1]
+            np.maximum(nrm, 0.0, out=nrm)
+            mask = nrm > threshold
+            if j0 == i0:
+                mask = np.triu(mask, 1)
+            inv = np.zeros_like(nrm)
+            np.divide(1.0, nrm, out=inv, where=mask)
+            r[i0:i1] += inv.sum(axis=1)
+            r[j0:j1] += inv.sum(axis=0)
+            cross += xi.T @ (inv @ xj)
+            retained += np.count_nonzero(mask)
+    accum = (x * r[:, None]).T @ x
+    accum -= cross + cross.T
+    return accum, 2 * retained
 
 
 def covariance_hat(sample: FunctionalSample) -> DiscretizedKernel:

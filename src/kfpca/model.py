@@ -335,6 +335,6 @@ def load_model(path) -> FpcaModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also a UnicodeDecodeError
             raise ParseError(f"invalid JSON in {path}: {exc}", path="")
     return deserialize_model(doc)

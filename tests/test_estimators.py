@@ -1,7 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import kfpca.estimators
 
 from kfpca import (
     ConfigurationError,
@@ -20,7 +23,7 @@ from kfpca import (
     make_regular_grid,
     mean_hat,
 )
-from kfpca.estimators import mean_pairwise_sq_norm
+from kfpca.estimators import _centered
 
 
 def gaussian_case1_sample(n, seed=0, run=0):
@@ -155,9 +158,75 @@ class TestKendallTauHat:
             for j in range(i + 1, len(x)):
                 diff = x[i] - x[j]
                 acc.append(w @ (diff * diff))
-        assert mean_pairwise_sq_norm(sample) == pytest.approx(
+        assert _centered(sample)[2] == pytest.approx(
             np.mean(acc), rel=1e-12
         )
+
+
+def pair_sum(sample):
+    """The pair sum and ordered retained-pair count behind kendall_tau_hat
+    at its default degenerate_tol of 1e-12."""
+    xc, q, mean_sq_norm = _centered(sample)
+    return kfpca.estimators._pair_sum(xc, sample.grid.weights, q, 1e-12 * mean_sq_norm)
+
+
+class TestPairTiles:
+    """A tile edge of 7 puts pairs on, beside and across tile boundaries at
+    test sizes; the default edge covers these samples in one tile."""
+
+    @staticmethod
+    def assert_small_tiles_match(monkeypatch, sample, ordered_retained):
+        default = kendall_tau_hat(sample).matrix
+        _, default_count = pair_sum(sample)
+        monkeypatch.setattr(kfpca.estimators, "_PAIR_TILE", 7)
+        tiled = kendall_tau_hat(sample).matrix
+        _, tiled_count = pair_sum(sample)
+        ref = pairwise_reference(sample.values, sample.grid.weights)
+        assert np.abs(tiled - ref).max() < 1e-12
+        assert np.abs(tiled - default).max() < 1e-12
+        assert tiled_count == default_count == ordered_retained
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 15, 40])
+    def test_small_tiles_match_pair_loop(self, monkeypatch, n):
+        sample = gaussian_case1_sample(n, seed=60 + n)
+        self.assert_small_tiles_match(monkeypatch, sample, n * (n - 1))
+
+    def test_duplicates_in_different_tiles_are_dropped(self, monkeypatch):
+        sample = gaussian_case1_sample(20, seed=80)
+        values = sample.values.copy()
+        # with 7-row tiles: rows 2 and 15 sit in tiles 0 and 2, rows 6 and 7
+        # straddle the first boundary, rows 9 and 11 share the diagonal tile 1
+        for a, b in ((2, 15), (6, 7), (9, 11)):
+            values[b] = values[a]
+        duplicated = FunctionalSample(sample.grid, values)
+        self.assert_small_tiles_match(monkeypatch, duplicated, 20 * 19 - 2 * 3)
+
+    @pytest.mark.parametrize("tile", [7, None], ids=["tile-7", "default-tile"])
+    def test_permutation_across_tiles(self, monkeypatch, tile):
+        if tile is not None:
+            monkeypatch.setattr(kfpca.estimators, "_PAIR_TILE", tile)
+        n = 3 * kfpca.estimators._PAIR_TILE + 5
+        sample = gaussian_case1_sample(n, seed=81)
+        perm = derive_rng(82, 0).permutation(n)
+        shuffled = FunctionalSample(sample.grid, sample.values[perm])
+        assert np.abs(
+            kendall_tau_hat(sample).matrix - kendall_tau_hat(shuffled).matrix
+        ).max() < 1e-12
+
+    def test_scratch_does_not_grow_with_n(self):
+        n = 2000
+        sample = gaussian_case1_sample(n, seed=83)
+        d = sample.grid.size
+        tracemalloc.start()
+        try:
+            kendall_tau_hat(sample)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two N x d arrays (the centered copy, the diag(r) term) and a few
+        # tile-sized ones; an N-wide block of 1024 rows alone takes 16 MB here
+        budget = (n * d + 4 * kfpca.estimators._PAIR_TILE**2) * 8
+        assert peak < 2 * budget
 
 
 class TestCovarianceHat:

@@ -305,6 +305,16 @@ class TestSerialization:
         with pytest.raises(ParseError):
             deserialize_model(doc)
 
+    @pytest.mark.parametrize(
+        "content", [b'{"a": "\xff"}', b'{"a": '], ids=["not-utf8", "truncated"]
+    )
+    def test_unreadable_file_raises_parse_error(self, tmp_path, content):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as err:
+            load_model(path)
+        assert str(path) in str(err.value)
+
     def test_non_numeric_scores_rejected(self):
         model = fit(noisy_sample(seed=26), FitConfig(n_components=2))
         doc = serialize_model(model)
