@@ -1,55 +1,32 @@
-"""Weighted eigenanalysis of a discretized kernel.
+"""Weighted eigenanalysis of a discretized kernel, on arrays.
 
 The operator eigenproblem  integral K(s, t) phi(s) ds = lambda phi(t)
 discretizes to  M W phi = lambda phi  with W = diag(quadrature weights).
 Conjugating by W^{1/2} turns that into an ordinary symmetric eigenproblem
 whose eigenvectors map back to functions orthonormal in the quadrature
 inner product, which is exactly the normalization  integral phi_k^2 = 1.
+``DiscretizedKernel`` solves it once; ``eigen_decompose`` turns its K
+leading eigenvectors into a K x d array of eigenfunction values (the
+eigenvalues are ``kernel.eigenvalues[:K]``), and ``project_scores`` takes
+that array.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Curve, FunctionalSample, Grid, smooth_rows
-from .errors import ConfigurationError, DimensionError, EstimationError, InputError
+from .core import Curve, FunctionalSample, smooth_rows
+from .errors import ConfigurationError, DimensionError, EstimationError
 from .estimators import DiscretizedKernel
 
 SIGN_TIE_ATOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class EigenSystem:
-    """Leading eigenfunctions and operator eigenvalues of a kernel."""
-
-    grid: Grid
-    eigenfunctions: tuple[Curve, ...]
-    operator_eigenvalues: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        ev = np.asarray(self.operator_eigenvalues, dtype=float)
-        object.__setattr__(self, "operator_eigenvalues", ev)
-        object.__setattr__(self, "eigenfunctions", tuple(self.eigenfunctions))
-        if len(self.eigenfunctions) != ev.size:
-            raise InputError("one eigenvalue per eigenfunction required")
-        if np.any(np.diff(ev) > 0):
-            raise InputError("operator eigenvalues must be sorted descending")
-
-    def __len__(self) -> int:
-        return len(self.eigenfunctions)
-
-
 def _apply_sign_convention(phi: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Fix the sign so the weighted integral is non-negative; if that
-    integral is essentially zero, make the first nonzero value positive."""
-    s = float(weights @ phi)
-    if abs(s) > SIGN_TIE_ATOL:
-        return phi if s > 0 else -phi
-    nonzero = np.nonzero(phi)[0]
-    if nonzero.size and phi[nonzero[0]] < 0:
-        return -phi
-    return phi
+    """Flip rows so each weighted integral is non-negative; a row whose
+    integral is essentially zero gets its first nonzero value positive."""
+    s = phi @ weights
+    first = phi[np.arange(phi.shape[0]), np.argmax(phi != 0, axis=1)]
+    flip = np.where(np.abs(s) > SIGN_TIE_ATOL, s < 0, first < 0)
+    return np.where(flip[:, None], -phi, phi)
 
 
 def eigen_decompose(
@@ -57,8 +34,8 @@ def eigen_decompose(
     n_components: int,
     smooth: bool = False,
     bandwidth="auto",
-) -> EigenSystem:
-    """Leading eigenpairs of a kernel's weighted eigenproblem, which the
+) -> np.ndarray:
+    """Leading eigenfunctions of a kernel's weighted eigenproblem, which the
     kernel solved once at construction.
 
     Parameters
@@ -66,7 +43,7 @@ def eigen_decompose(
     kernel : DiscretizedKernel
         Symmetric kernel matrix with its grid.
     n_components : int
-        Number of leading eigenpairs to return (1 <= K <= d).
+        Number of leading eigenfunctions to return (1 <= K <= d).
     smooth : bool
         If True, each returned eigenfunction is local-linear smoothed and
         then rescaled back to unit quadrature norm.  Orthogonality is not
@@ -76,10 +53,11 @@ def eigen_decompose(
 
     Returns
     -------
-    EigenSystem
-        Eigenfunctions orthonormal under the grid's quadrature inner
-        product (exactly when unsmoothed), eigenvalues descending, signs
-        fixed so each eigenfunction integrates to a non-negative value.
+    np.ndarray
+        K x d array whose row k holds phi_k on the kernel's grid, paired
+        with ``kernel.eigenvalues[k]``.  Rows are orthonormal under the
+        grid's quadrature inner product (exactly when unsmoothed), with
+        signs fixed so each row integrates to a non-negative value.
     """
     d = kernel.grid.size
     if not 1 <= n_components <= d:
@@ -87,48 +65,41 @@ def eigen_decompose(
             f"n_components must lie in [1, {d}], got {n_components}"
         )
     w = kernel.grid.weights
-    sqrt_w = np.sqrt(w)
-    vecs = kernel.eigenvectors
-    phi = np.array(
-        [_apply_sign_convention(vecs[:, k] / sqrt_w, w) for k in range(n_components)]
-    )
+    # rows in C order: the smoother and the score projection multiply by
+    # them, and the layout decides how those products round
+    vecs = np.ascontiguousarray(kernel.eigenvectors[:, :n_components].T)
+    phi = _apply_sign_convention(vecs / np.sqrt(w), w)
     if smooth:
         phi = smooth_rows(kernel.grid, phi, bandwidth)
-        for k, row in enumerate(phi):
-            norm = float(w @ (row * row))
-            if norm <= 0:
-                raise EstimationError(f"smoothing annihilated eigenfunction {k + 1}")
-            phi[k] = _apply_sign_convention(row / np.sqrt(norm), w)
-    funcs = tuple(Curve(kernel.grid, row) for row in phi)
-    return EigenSystem(
-        kernel.grid, funcs, kernel.eigenvalues[:n_components], kernel.kind
-    )
+        # one vector dot per row (a stack of 1 x d products), which rounds
+        # as w @ (row * row) does; a matrix-vector product would not
+        norms = ((phi * phi)[:, None, :] @ w)[:, 0]
+        annihilated = np.flatnonzero(norms <= 0)
+        if annihilated.size:
+            raise EstimationError(
+                f"smoothing annihilated eigenfunction {annihilated[0] + 1}"
+            )
+        phi = _apply_sign_convention(phi / np.sqrt(norms)[:, None], w)
+    return phi
 
 
 def project_scores(
-    sample: FunctionalSample,
-    mean: Curve,
-    basis: EigenSystem,
-    n_components: int,
+    sample: FunctionalSample, mean: Curve, phi: np.ndarray
 ) -> np.ndarray:
     """Component scores: quadrature inner products of centered curves with
-    each eigenfunction.
+    each eigenfunction, given as the rows of the K x d array ``phi``.
 
     Returns an N x K matrix with entry (i, k) equal to
     <X_i - mean, phi_k>.
     """
-    if not sample.grid.matches(mean.grid) or not sample.grid.matches(basis.grid):
-        raise DimensionError("sample, mean, and basis must share a grid")
-    if not 1 <= n_components <= len(basis):
-        raise ConfigurationError(
-            f"requested {n_components} components from a basis of {len(basis)}"
+    phi = np.asarray(phi, dtype=float)
+    if (
+        not sample.grid.matches(mean.grid)
+        or phi.ndim != 2
+        or phi.shape[1] != sample.grid.size
+    ):
+        raise DimensionError(
+            "sample, mean and eigenfunction rows must share the grid"
         )
-    phi = np.stack([c.values for c in basis.eigenfunctions[:n_components]])
     centered = sample.values - mean.values
     return centered @ (phi * sample.grid.weights).T
-
-
-def reconstruct_kernel(system: EigenSystem) -> np.ndarray:
-    """Spectral resynthesis sum_k lambda_k phi_k(s) phi_k(t)."""
-    phi = np.stack([c.values for c in system.eigenfunctions])
-    return (phi.T * system.operator_eigenvalues) @ phi

@@ -120,7 +120,9 @@ def kendall_tau_hat(
     its difference divided by the squared quadrature norm of that
     difference; the estimate averages those rank-one terms.  Pairs whose
     squared norm falls at or below ``degenerate_tol`` times the mean
-    pairwise squared norm are dropped and the divisor shrinks accordingly.
+    pairwise squared norm, or within the rounding of its Gram-identity
+    computation (d ulps of the two centered curves' squared norms), are
+    dropped and the divisor shrinks accordingly.
 
     The result is symmetric, positive semidefinite, and has weighted trace
     one.  It is invariant under common scaling and shifts of the sample.
@@ -154,8 +156,8 @@ def _pair_sum(
     x: np.ndarray, w: np.ndarray, q: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, int]:
     """Sum of outer(D, D)/|D|^2 over unordered pairs D = X_i - X_j with
-    |D|^2 > threshold, and the count of such ordered pairs, for centered
-    rows x with squared norms q.
+    |D|^2 > max(threshold, d eps (q_i + q_j)), and the count of such ordered
+    pairs, for centered rows x with squared norms q.
 
     The N x N pair matrix is walked in square tiles of edge ``_PAIR_TILE``,
     only those on or above the diagonal, and within a diagonal tile only
@@ -167,7 +169,10 @@ def _pair_sum(
     n, d = x.shape
     # X^T (diag(r) - C - C^T) X with C[i, j] = 1/|X_i - X_j|^2 on retained
     # pairs i < j and r the row sums of C + C^T; squared norms from the Gram
-    # identity q_i + q_j - 2 <X_i, X_j>_w
+    # identity q_i + q_j - 2 <X_i, X_j>_w, whose rounding error is bounded by
+    # d ulps of q_i + q_j: a squared norm at or below that is no pair's own
+    # (an exact duplicate lands there, not at 0), so it is dropped too
+    ulps = d * np.finfo(float).eps
     r = np.zeros(n)
     cross = np.zeros((d, d))
     retained = 0
@@ -183,7 +188,10 @@ def _pair_sum(
             nrm += q[i0:i1, None]
             nrm += q[None, j0:j1]
             np.maximum(nrm, 0.0, out=nrm)
-            mask = nrm > threshold
+            cut = threshold
+            if ulps * (q[i0:i1].max() + q[j0:j1].max()) > threshold:
+                cut = np.maximum(threshold, ulps * np.add.outer(q[i0:i1], q[j0:j1]))
+            mask = nrm > cut
             if j0 == i0:
                 mask = np.triu(mask, 1)
             inv = np.zeros_like(nrm)

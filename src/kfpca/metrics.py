@@ -119,12 +119,18 @@ def _evaluate_chunk(args) -> list[RunMetrics]:
 
 
 def default_workers() -> int:
-    """Worker count from the KFPCA_THREADS environment variable (default 1)."""
+    """Worker count from the KFPCA_THREADS environment variable (default 1).
+
+    Raises ConfigurationError unless the value is an integer >= 1.
+    """
     raw = os.environ.get("KFPCA_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigurationError(f"KFPCA_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def run_scenario(

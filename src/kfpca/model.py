@@ -3,8 +3,9 @@
 A fit runs each stage once, on arrays: optional pre-smoothing (a GCV
 bandwidth per curve), mean estimation, a kernel estimate (pairwise sign-based
 or sample covariance) with its one weighted eigensolve, the cut at K
-components, optional smoothing of the K kept eigenfunctions, score
-projection, and per-component score variances.
+components, the K x d array of kept eigenfunctions (optionally smoothed),
+score projection, and per-component score variances.  The K eigenfunction
+``Curve`` objects are built once, for the model.
 The fitted object serializes to a single JSON document.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import Curve, FunctionalSample, Grid, _frozen_array, smooth_rows
-from .eigen import EigenSystem, eigen_decompose, project_scores
+from .eigen import eigen_decompose, project_scores
 from .errors import ConfigurationError, DimensionError, InputError, KfpcaError, ParseError
 from .estimators import covariance_hat, kendall_tau_hat, mean_hat
 
@@ -169,15 +170,15 @@ def fit(sample: FunctionalSample, config: FitConfig) -> FpcaModel:
         kernel = covariance_hat(sample)
 
     k = _select_k(kernel.eigenvalues, config.n_components)
-    system = eigen_decompose(
+    phi = eigen_decompose(
         kernel, k, smooth=config.eigen_smooth, bandwidth=config.eigen_bandwidth
     )
-    scores = project_scores(sample, mean, system, k)
+    scores = project_scores(sample, mean, phi)
     return FpcaModel(
         grid=sample.grid,
         mean=mean,
-        eigenfunctions=system.eigenfunctions,
-        operator_eigenvalues=system.operator_eigenvalues,
+        eigenfunctions=tuple(Curve(sample.grid, row) for row in phi),
+        operator_eigenvalues=kernel.eigenvalues[:k],
         component_variances=scores.var(axis=0, ddof=1),
         scores=scores,
         method=config.method,
@@ -200,10 +201,6 @@ def reconstruct(model: FpcaModel, subject: int, n_components: int) -> Curve:
     for k in range(n_components):
         values += model.scores[subject, k] * model.eigenfunctions[k].values
     return Curve(model.grid, values)
-
-
-def _config_to_doc(config: FitConfig) -> dict:
-    return asdict(config)
 
 
 def _config_from_doc(doc: dict) -> FitConfig:
@@ -238,7 +235,7 @@ def serialize_model(model: FpcaModel) -> dict:
         "eigenfunctions": [c.values.tolist() for c in model.eigenfunctions],
         "scores": model.scores.tolist(),
         "spectrum_remainder": model._spectrum_remainder,
-        "config": _config_to_doc(model.config),
+        "config": asdict(model.config),
     }
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from kfpca import (
+    Curve,
     FitConfig,
     FunctionalSample,
     SimulationScenario,
@@ -95,10 +96,11 @@ class TestAcceptance:
         sample = generate(
             SimulationScenario(n_subjects=400, seed=acceptance_seed), 0
         ).sample
-        sys_k = eigen_decompose(kendall_tau_hat(sample), 2)
-        sys_c = eigen_decompose(covariance_hat(sample), 2)
+        phi_k = eigen_decompose(kendall_tau_hat(sample), 2)
+        phi_c = eigen_decompose(covariance_hat(sample), 2)
         errs = [
-            imse(sys_k.eigenfunctions[k], sys_c.eigenfunctions[k]) for k in range(2)
+            imse(Curve(sample.grid, phi_k[k]), Curve(sample.grid, phi_c[k]))
+            for k in range(2)
         ]
         ok = all(e < 0.05 for e in errs)
         report(
@@ -151,10 +153,10 @@ class TestAcceptance:
             if np.abs(other.matrix - kernel.matrix).max() > 1e-12:
                 failures.append(f"affine invariance broken at c={c}")
 
-        system = eigen_decompose(kernel, sample.grid.size)
+        funcs = [Curve(sample.grid, row) for row in eigen_decompose(kernel, sample.grid.size)]
         for k in range(4):
             for l in range(k, 4):
-                got = inner_product(system.eigenfunctions[k], system.eigenfunctions[l])
+                got = inner_product(funcs[k], funcs[l])
                 if abs(got - (1.0 if k == l else 0.0)) > 1e-6:
                     failures.append(f"orthonormality broken at ({k}, {l})")
 

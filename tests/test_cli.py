@@ -294,14 +294,17 @@ class TestMainPlumbing:
              2, "bandwidth must be positive"),
             (["fit", "{identical}", "--method", "kfpca", "--out", "{out}"], 3,
              "all curve pairs are degenerate"),
+            (["KFPCA_THREADS=junk", "simulate", "--n", "20", "--grid", "11", "--runs", "1",
+              "--out", "{out}"], 2, "KFPCA_THREADS"),
         ],
         ids=[
             "fit-missing-dir", "simulate-missing-dir", "mean-band-missing-dir",
             "rate-missing-dir", "non-utf8-csv", "negative-bandwidth", "identical-curves",
+            "simulate-bad-threads",
         ],
     )
     def test_error_is_one_line_and_its_class_sets_the_exit_code(
-        self, tmp_path, activity_like_csv, capsys, argv, code, message
+        self, tmp_path, activity_like_csv, capsys, monkeypatch, argv, code, message
     ):
         latin1 = tmp_path / "latin1.csv"
         latin1.write_bytes(b"0,1,2,3\n1,2,3,4\n5,6,7,\xe9\n9,8,7,6\n")
@@ -314,7 +317,10 @@ class TestMainPlumbing:
             "missing": tmp_path / "missing",
             "out": tmp_path / "out",
         }
-        assert main([arg.format(**paths) for arg in argv]) == code
+        args = [arg.format(**paths) for arg in argv]
+        while "=" in args[0]:  # leading NAME=value words set the environment
+            monkeypatch.setenv(*args.pop(0).split("=", 1))
+        assert main(args) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err

@@ -17,7 +17,6 @@ from kfpca import (
     bootstrap_mean_band,
     covariance_hat,
     derive_rng,
-    eigen_decompose,
     generate,
     kendall_tau_hat,
     make_regular_grid,
@@ -144,6 +143,32 @@ class TestKendallTauHat:
             expected += np.outer(diff, diff) / nrm
         assert np.allclose(k.matrix, expected / 2, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "seed, n_points", [(0, 51), (1, 51), (2, 51), (0, 401)],
+        ids=["seed-0", "seed-1", "seed-2", "seed-0-d401"],
+    )
+    def test_exact_duplicates_dropped_at_zero_tolerance(self, seed, n_points):
+        # the Gram identity leaves a duplicate pair's squared norm at rounding
+        # level, not 0; kept, its weight ~1e16 broke the PSD check
+        sample = generate(
+            SimulationScenario(n_subjects=30, n_points=n_points, seed=seed), 0
+        ).sample
+        values = sample.values.copy()
+        values[5], values[17] = values[0], values[9]
+        duplicated = FunctionalSample(sample.grid, values)
+        kernel = kendall_tau_hat(duplicated, degenerate_tol=0.0)
+        w = sample.grid.weights
+        loop_count = sum(
+            float(w @ (values[i] - values[j]) ** 2) > 0
+            for i in range(30)
+            for j in range(i + 1, 30)
+        )
+        xc, q, _ = _centered(duplicated)
+        _, ordered_retained = kfpca.estimators._pair_sum(xc, w, q, 0.0)
+        assert ordered_retained == 2 * loop_count == 30 * 29 - 4
+        ref = pairwise_reference(values, w)
+        assert np.abs(kernel.matrix - ref).max() < 1e-12
+
     def test_all_identical_raises(self):
         g = make_regular_grid(0, 1, 5)
         sample = FunctionalSample(g, np.tile(np.sin(g.points), (4, 1)))
@@ -260,8 +285,7 @@ class TestCovarianceHat:
 
     def test_large_sample_eigenvalues_near_truth(self):
         sample = gaussian_case1_sample(400, seed=24)
-        system = eigen_decompose(covariance_hat(sample), 2)
-        lam = system.operator_eigenvalues
+        lam = covariance_hat(sample).eigenvalues[:2]
         assert abs(lam[0] - 16.0) / 16.0 < 0.25
         assert abs(lam[1] - 9.0) / 9.0 < 0.25
 

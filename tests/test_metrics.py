@@ -179,10 +179,10 @@ class TestWorkerConfig:
         assert default_workers() == 1
         monkeypatch.setenv("KFPCA_THREADS", "4")
         assert default_workers() == 4
-        monkeypatch.setenv("KFPCA_THREADS", "junk")
-        assert default_workers() == 1
-        monkeypatch.setenv("KFPCA_THREADS", "-2")
-        assert default_workers() == 1
+        for bad in ("junk", "-2"):
+            monkeypatch.setenv("KFPCA_THREADS", bad)
+            with pytest.raises(ConfigurationError, match="KFPCA_THREADS"):
+                default_workers()
 
 
 class TestConvergenceRate:

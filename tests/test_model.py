@@ -12,13 +12,18 @@ from kfpca import (
     InputError,
     ParseError,
     SimulationScenario,
+    covariance_hat,
     derive_rng,
     deserialize_model,
+    eigen_decompose,
     fit,
     generate,
     imse,
+    kendall_tau_hat,
     load_model,
     make_regular_grid,
+    mean_hat,
+    project_scores,
     reconstruct,
     save_model,
     serialize_model,
@@ -159,6 +164,18 @@ class TestFit:
         model = fit(noisy_sample(n=20, seed=16), FitConfig(n_components=2, **options))
         assert model.n_components == 2
         assert shapes == [(rows, 51)]
+
+    @pytest.mark.parametrize("method", ["kfpca", "cov"])
+    def test_fit_is_eigen_decompose_then_project_scores(self, method):
+        sample = noisy_sample(seed=17)
+        model = fit(sample, FitConfig(method=method, n_components=0.95))
+        k = model.n_components
+        kernel = kendall_tau_hat(sample) if method == "kfpca" else covariance_hat(sample)
+        phi = eigen_decompose(kernel, k)
+        assert k > 2
+        assert np.array_equal(np.stack([c.values for c in model.eigenfunctions]), phi)
+        assert np.array_equal(model.operator_eigenvalues, kernel.eigenvalues[:k])
+        assert np.array_equal(model.scores, project_scores(sample, mean_hat(sample), phi))
 
     @pytest.mark.parametrize("bad", [0, -1, 0.0, 1.0, -0.5])
     def test_invalid_n_components_config(self, bad):
