@@ -100,15 +100,20 @@ def mean_hat(sample: FunctionalSample) -> Curve:
     return Curve(sample.grid, sample.values.mean(axis=0))
 
 
-def _centered(sample: FunctionalSample) -> tuple[np.ndarray, np.ndarray, float]:
-    """Column-centered values, each centered curve's squared norm q_i, and
-    the mean pairwise squared norm.  Differences X_i - X_j do not see the
-    centering, and after it the cross terms of sum_{i<j} |X_i - X_j|^2
-    vanish, leaving n sum(q); centering first also keeps the Gram identity
-    free of cancellation when the curves sit far from zero."""
-    xc = sample.values - sample.values.mean(axis=0)
-    q = np.einsum("ij,j,ij->i", xc, sample.grid.weights, xc)
-    return xc, q, 2.0 * float(q.sum()) / (xc.shape[0] - 1)
+def _centered(sample: FunctionalSample) -> tuple[np.ndarray, float]:
+    """The N x (d + 2) pair-sum buffer [X_c | 1 | q] and the mean pairwise
+    squared norm: X_c the column-centered values, q_i the squared norm of
+    centered curve i.  Differences X_i - X_j do not see the centering, and
+    after it the cross terms of sum_{i<j} |X_i - X_j|^2 vanish, leaving
+    n sum(q); centering first also keeps the Gram identity free of
+    cancellation when the curves sit far from zero."""
+    x = sample.values
+    n, d = x.shape
+    buf = np.empty((n, d + 2))
+    xc = np.subtract(x, x.mean(axis=0), out=buf[:, :d])
+    buf[:, d] = 1.0
+    q = np.einsum("ij,j,ij->i", xc, sample.grid.weights, xc, out=buf[:, d + 1])
+    return buf, 2.0 * float(q.sum()) / (n - 1)
 
 
 def kendall_tau_hat(
@@ -121,7 +126,7 @@ def kendall_tau_hat(
     difference; the estimate averages those rank-one terms.  Pairs whose
     squared norm falls at or below ``degenerate_tol`` times the mean
     pairwise squared norm, or within the rounding of its Gram-identity
-    computation (d ulps of the two centered curves' squared norms), are
+    computation (d + 2 ulps of the two centered curves' squared norms), are
     dropped and the divisor shrinks accordingly.
 
     The result is symmetric, positive semidefinite, and has weighted trace
@@ -136,72 +141,97 @@ def kendall_tau_hat(
 
     Raises
     ------
+    ConfigurationError
+        ``degenerate_tol`` negative, infinite or NaN.
     EstimationError
         Every pair degenerate (e.g. all curves identical).
     """
-    if degenerate_tol < 0:
-        raise ConfigurationError("degenerate_tol must be non-negative")
-    xc, q, mean_sq_norm = _centered(sample)
+    if not 0.0 <= degenerate_tol < np.inf:
+        raise ConfigurationError(
+            f"degenerate_tol must be finite and non-negative, got {degenerate_tol!r}"
+        )
+    buf, mean_sq_norm = _centered(sample)
     accum, ordered_retained = _pair_sum(
-        xc, sample.grid.weights, q, degenerate_tol * mean_sq_norm
+        buf, sample.grid.weights, degenerate_tol * mean_sq_norm
     )
     if ordered_retained == 0:
         raise EstimationError("all curve pairs are degenerate")
-    # the accumulated sum already equals the unordered-pair sum
-    accum /= ordered_retained / 2.0
-    return DiscretizedKernel(sample.grid, (accum + accum.T) / 2.0, KENDALL)
+    # (accum + accum^T) / 2 is the unordered-pair sum, which has
+    # ordered_retained / 2 terms
+    accum /= ordered_retained
+    return DiscretizedKernel(sample.grid, accum + accum.T, KENDALL)
 
 
-def _pair_sum(
-    x: np.ndarray, w: np.ndarray, q: np.ndarray, threshold: float
-) -> tuple[np.ndarray, int]:
-    """Sum of outer(D, D)/|D|^2 over unordered pairs D = X_i - X_j with
-    |D|^2 > max(threshold, d eps (q_i + q_j)), and the count of such ordered
-    pairs, for centered rows x with squared norms q.
+def _pair_sum(buf: np.ndarray, w: np.ndarray, threshold: float) -> tuple[np.ndarray, int]:
+    """A d x d matrix whose symmetric part is the sum of outer(D, D)/|D|^2
+    over unordered pairs D = X_i - X_j with
+    |D|^2 > max(threshold, (d + 2) eps (q_i + q_j)), and the count of such
+    ordered pairs, for the buffer [X | 1 | q] of ``_centered``.
+
+    The sum is X^T (diag(r) - C - C^T) X with C[i, j] = 1/|X_i - X_j|^2 on
+    retained pairs i < j (0 elsewhere) and r the row sums of C + C^T.  The
+    buffer's layout makes each tile two GEMMs and a few passes:
+
+    - a row block I builds lhs = [X_I diag(-2 w) | q_I | 1], so
+      lhs @ buf[J].T is q_i + q_j - 2 <X_i, X_j>_w = |X_i - X_j|^2;
+    - inverted in place, that tile is C_IJ, and C_IJ @ buf[J, :d + 1] is
+      [C_IJ X_J | row sums of C_IJ], summed over the row block as T_I;
+    - the diagonal tile comes last, when r_I is complete; -r_i / 2 on its
+      diagonal adds -diag(r_I) X_I / 2 to T_I, so -2 X_I^T T_I summed
+      over row blocks is X^T diag(r) X - 2 X^T C X.
 
     The N x N pair matrix is walked in square tiles of edge ``_PAIR_TILE``,
     only those on or above the diagonal, and within a diagonal tile only
-    j > i, so each unordered pair is visited once.  Each tile's scratch
-    arrays are ``_PAIR_TILE``^2 floats, independent of N; beyond them the
-    sum holds one N x d array and is freed before the caller builds (and
-    eigensolves) the kernel.
+    j > i, so each unordered pair is visited once.  Scratch arrays are tile
+    sized; beyond the buffer the sum holds one length-N vector.
     """
-    n, d = x.shape
-    # X^T (diag(r) - C - C^T) X with C[i, j] = 1/|X_i - X_j|^2 on retained
-    # pairs i < j and r the row sums of C + C^T; squared norms from the Gram
-    # identity q_i + q_j - 2 <X_i, X_j>_w, whose rounding error is bounded by
-    # d ulps of q_i + q_j: a squared norm at or below that is no pair's own
-    # (an exact duplicate lands there, not at 0), so it is dropped too
-    ulps = d * np.finfo(float).eps
-    r = np.zeros(n)
-    cross = np.zeros((d, d))
+    n, d = buf.shape[0], buf.shape[1] - 2
+    x, q = buf[:, :d], buf[:, d + 1]
+    # the GEMM's rounding error is bounded by d + 2 ulps of q_i + q_j: a
+    # squared norm at or below that is no pair's own (an exact duplicate
+    # lands there, not at 0, and may land below 0), so it is dropped too;
+    # cut >= 0 also drops negative norms
+    ulps = (d + 2) * np.finfo(float).eps
+    tile = min(_PAIR_TILE, n)
+    on_or_below_diag = np.tri(tile, dtype=bool)
+    lhs = np.empty((tile, d + 2))
+    # one tile's inverse norms, reused so that two tiles are never alive
+    scratch = np.empty(tile * tile)
+    col_sums = np.zeros(n)
+    accum = np.zeros((d, d))
     retained = 0
-    for i0 in range(0, n, _PAIR_TILE):
-        i1 = min(i0 + _PAIR_TILE, n)
-        xi = x[i0:i1]
-        # scaling by -2 is exact, so this gives -2 <X_i, X_j>_w bit for bit
-        xiw = xi * (-2.0 * w)
-        for j0 in range(i0, n, _PAIR_TILE):
-            j1 = min(j0 + _PAIR_TILE, n)
-            xj = x[j0:j1]
-            nrm = xiw @ xj.T
-            nrm += q[i0:i1, None]
-            nrm += q[None, j0:j1]
-            np.maximum(nrm, 0.0, out=nrm)
-            cut = threshold
-            if ulps * (q[i0:i1].max() + q[j0:j1].max()) > threshold:
-                cut = np.maximum(threshold, ulps * np.add.outer(q[i0:i1], q[j0:j1]))
-            mask = nrm > cut
+    for i0 in range(0, n, tile):
+        i1 = min(i0 + tile, n)
+        m = i1 - i0
+        xi, qi = x[i0:i1], q[i0:i1]
+        left = lhs[:m]
+        # scaling by -2 is exact, so this gives -2 <X_i, X_j>_w bit for bit;
+        # einsum writes the strided columns without ufunc buffers
+        np.einsum("ij,j->ij", xi, -2.0 * w, out=left[:, :d])
+        left[:, d] = qi
+        left[:, d + 1] = 1.0
+        t = np.zeros((m, d + 1))
+        for j0 in reversed(range(i0, n, tile)):
+            j1 = min(j0 + tile, n)
+            inv = scratch[: m * (j1 - j0)].reshape(m, j1 - j0)
+            np.matmul(left, buf[j0:j1].T, out=inv)
             if j0 == i0:
-                mask = np.triu(mask, 1)
-            inv = np.zeros_like(nrm)
-            np.divide(1.0, nrm, out=inv, where=mask)
-            r[i0:i1] += inv.sum(axis=1)
-            r[j0:j1] += inv.sum(axis=0)
-            cross += xi.T @ (inv @ xj)
-            retained += np.count_nonzero(mask)
-    accum = (x * r[:, None]).T @ x
-    accum -= cross + cross.T
+                inv[on_or_below_diag[:m, :m]] = 0.0
+            cut = threshold
+            if ulps * (qi.max() + q[j0:j1].max()) > threshold:
+                cut = np.maximum(threshold, ulps * np.add.outer(qi, q[j0:j1]))
+            drop = inv <= cut
+            inv[drop] = np.inf
+            np.reciprocal(inv, out=inv)
+            retained += drop.size - np.count_nonzero(drop)
+            col_sums[j0:j1] += inv.sum(axis=0)
+            if j0 == i0:
+                # every tile of column block I lies in row blocks <= I
+                r = col_sums[i0:i1] + t[:, d] + inv.sum(axis=1)
+                np.fill_diagonal(inv, -0.5 * r)
+            t += inv @ buf[j0:j1, : d + 1]
+        accum += xi.T @ t[:, :d]
+    accum *= -2.0
     return accum, 2 * retained
 
 

@@ -142,8 +142,13 @@ def run_scenario(
 
     Results are identical for any worker count: every run draws from
     streams derived from (seed, run_index) and the output order is fixed.
+    ``workers`` defaults to ``default_workers()``; an explicit count below 1
+    raises ConfigurationError.
     """
-    workers = default_workers() if workers is None else max(1, workers)
+    if workers is None:
+        workers = default_workers()
+    elif workers < 1:
+        raise ConfigurationError(f"workers must be an integer >= 1, got {workers!r}")
     out: dict[str, list[RunMetrics]] = {}
     for method in methods:
         if workers == 1 or scenario.runs < 4:

@@ -60,8 +60,10 @@ class FitConfig:
             raise ConfigurationError(
                 "n_components must be a count >= 1 or a threshold in (0, 1)"
             )
-        if self.degenerate_tol < 0:
-            raise ConfigurationError("degenerate_tol must be non-negative")
+        if not 0.0 <= self.degenerate_tol < np.inf:
+            raise ConfigurationError(
+                f"degenerate_tol must be finite and non-negative, got {self.degenerate_tol!r}"
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,11 @@
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import kfpca.estimators
 
@@ -163,8 +166,8 @@ class TestKendallTauHat:
             for i in range(30)
             for j in range(i + 1, 30)
         )
-        xc, q, _ = _centered(duplicated)
-        _, ordered_retained = kfpca.estimators._pair_sum(xc, w, q, 0.0)
+        buf, _ = _centered(duplicated)
+        _, ordered_retained = kfpca.estimators._pair_sum(buf, w, 0.0)
         assert ordered_retained == 2 * loop_count == 30 * 29 - 4
         ref = pairwise_reference(values, w)
         assert np.abs(kernel.matrix - ref).max() < 1e-12
@@ -175,6 +178,13 @@ class TestKendallTauHat:
         with pytest.raises(EstimationError):
             kendall_tau_hat(sample)
 
+    @pytest.mark.parametrize("bad", [-1e-12, float("nan"), float("inf")])
+    def test_invalid_degenerate_tol_rejected(self, bad):
+        # NaN fails every comparison, so a bare `< 0` check lets it through
+        sample = gaussian_case1_sample(10, seed=12)
+        with pytest.raises(ConfigurationError, match="degenerate_tol"):
+            kendall_tau_hat(sample, degenerate_tol=bad)
+
     def test_mean_pairwise_sq_norm_matches_loop(self):
         sample = gaussian_case1_sample(20, seed=11)
         x, w = sample.values, sample.grid.weights
@@ -183,7 +193,7 @@ class TestKendallTauHat:
             for j in range(i + 1, len(x)):
                 diff = x[i] - x[j]
                 acc.append(w @ (diff * diff))
-        assert _centered(sample)[2] == pytest.approx(
+        assert _centered(sample)[1] == pytest.approx(
             np.mean(acc), rel=1e-12
         )
 
@@ -191,8 +201,8 @@ class TestKendallTauHat:
 def pair_sum(sample):
     """The pair sum and ordered retained-pair count behind kendall_tau_hat
     at its default degenerate_tol of 1e-12."""
-    xc, q, mean_sq_norm = _centered(sample)
-    return kfpca.estimators._pair_sum(xc, sample.grid.weights, q, 1e-12 * mean_sq_norm)
+    buf, mean_sq_norm = _centered(sample)
+    return kfpca.estimators._pair_sum(buf, sample.grid.weights, 1e-12 * mean_sq_norm)
 
 
 class TestPairTiles:
@@ -248,10 +258,48 @@ class TestPairTiles:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # two N x d arrays (the centered copy, the diag(r) term) and a few
-        # tile-sized ones; an N-wide block of 1024 rows alone takes 16 MB here
-        budget = (n * d + 4 * kfpca.estimators._PAIR_TILE**2) * 8
-        assert peak < 2 * budget
+        # the one N x (d + 2) buffer [X_c | 1 | q] and tile-sized arrays
+        # (one tile of inverse norms, its mask, row-block products); a
+        # second N x d array, such as a centered copy beside the buffer or
+        # an N x d diag(r) term, does not fit
+        budget = (n * (d + 2) + 3 * kfpca.estimators._PAIR_TILE**2) * 8
+        assert peak < budget
+
+
+@st.composite
+def samples_with_duplicates(draw):
+    """Gaussian curves, N in [2, 40] and d in [4, 30], with some rows
+    copied over others."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(4, 30))
+    values = derive_rng(draw(st.integers(0, 2**32 - 1)), 0).standard_normal((n, d))
+    for src, dst in draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n // 2)
+    ):
+        values[dst] = values[src]
+    assume(np.unique(values, axis=0).shape[0] > 1)
+    return FunctionalSample(make_regular_grid(0, 1, d), values)
+
+
+class TestPairSumProperties:
+    @pytest.mark.parametrize(
+        "tile", [7, kfpca.estimators._PAIR_TILE], ids=["tile-7", "default-tile"]
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(sample=samples_with_duplicates())
+    def test_matches_exact_pair_loop(self, tile, sample):
+        values, w = sample.values, sample.grid.weights
+        n = sample.n_subjects
+        loop_count = sum(
+            float(w @ (values[i] - values[j]) ** 2) > 0
+            for i in range(n)
+            for j in range(i + 1, n)
+        )
+        with mock.patch.object(kfpca.estimators, "_PAIR_TILE", tile):
+            kernel = kendall_tau_hat(sample).matrix
+            _, ordered_retained = pair_sum(sample)
+        assert ordered_retained == 2 * loop_count
+        assert np.abs(kernel - pairwise_reference(values, w)).max() < 1e-12
 
 
 class TestCovarianceHat:

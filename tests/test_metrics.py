@@ -184,6 +184,12 @@ class TestWorkerConfig:
             with pytest.raises(ConfigurationError, match="KFPCA_THREADS"):
                 default_workers()
 
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_explicit_workers_below_one_rejected(self, bad):
+        scenario = SimulationScenario(n_subjects=20, n_points=11, runs=2)
+        with pytest.raises(ConfigurationError, match="workers"):
+            run_scenario(scenario, ("cov",), workers=bad)
+
 
 class TestConvergenceRate:
     def test_requires_three_increasing_sizes(self):

@@ -186,6 +186,12 @@ class TestFit:
         with pytest.raises(ConfigurationError):
             FitConfig(method="pca")
 
+    @pytest.mark.parametrize("bad", [-1e-12, float("nan"), float("inf")])
+    def test_invalid_degenerate_tol_config(self, bad):
+        # NaN fails every comparison, so a bare `< 0` check lets it through
+        with pytest.raises(ConfigurationError, match="degenerate_tol"):
+            FitConfig(degenerate_tol=bad)
+
 
 class TestReconstruct:
     def test_zero_components_returns_mean(self):

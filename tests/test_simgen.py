@@ -19,7 +19,9 @@ from kfpca import (
 )
 from kfpca.simgen import (
     SKEW_T_DF,
+    SKEW_T_MEAN,
     SKEW_T_SLANT,
+    SKEW_T_VAR,
     TARGET_EXCESS_KURTOSIS,
     TARGET_SKEWNESS,
     scenario_from_doc,
@@ -128,6 +130,8 @@ class TestSolveSkewTParams:
         _, _, skew, exkurt = skew_t_shape_moments(slant, df)
         assert abs(skew - TARGET_SKEWNESS) < 1e-8
         assert abs(exkurt - TARGET_EXCESS_KURTOSIS) < 1e-8
+        mean, var, _, _ = skew_t_shape_moments(SKEW_T_SLANT, SKEW_T_DF)
+        assert (mean, var) == (SKEW_T_MEAN, SKEW_T_VAR)
 
     def test_solution_verified_by_sampling_oracle(self):
         # 1e7 draws pin the solved parameters' moments within MC error
