@@ -8,8 +8,6 @@ from .core import (
     derive_rng,
     inner_product,
     make_regular_grid,
-    smooth_curve,
-    sq_norm,
 )
 from .eigen import eigen_decompose, project_scores
 from .errors import (
@@ -33,7 +31,6 @@ from .metrics import (
     RateDiagnostic,
     RunMetrics,
     aggregate,
-    align_sign,
     alignment_sign,
     convergence_rate,
     evaluate_run,
@@ -82,7 +79,6 @@ __all__ = [
     "SimulationScenario",
     "TruthBundle",
     "aggregate",
-    "align_sign",
     "alignment_sign",
     "bootstrap_mean_band",
     "convergence_rate",
@@ -106,8 +102,6 @@ __all__ = [
     "save_model",
     "score_mse",
     "serialize_model",
-    "smooth_curve",
     "solve_skew_t_params",
-    "sq_norm",
     "true_eigenfunctions",
 ]

@@ -1,4 +1,4 @@
-"""Grids, quadrature, curve arithmetic, and local-linear smoothing.
+"""Grids, curves, quadrature, and local-linear smoothing.
 
 Everything downstream works on curves observed at a common set of time
 points.  Integrals are trapezoid sums with per-point quadrature weights, so
@@ -114,22 +114,6 @@ class Curve:
         if not np.all(np.isfinite(self.values)):
             raise InputError("curve values must be finite")
 
-    def __add__(self, other: "Curve") -> "Curve":
-        _require_same_grid(self.grid, other.grid)
-        return Curve(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "Curve") -> "Curve":
-        _require_same_grid(self.grid, other.grid)
-        return Curve(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "Curve":
-        return Curve(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Curve":
-        return Curve(self.grid, -self.values)
-
 
 @dataclass(frozen=True, eq=False)
 class FunctionalSample:
@@ -163,11 +147,6 @@ def inner_product(f: Curve, g: Curve) -> float:
     """Quadrature inner product sum_j w_j f(t_j) g(t_j)."""
     _require_same_grid(f.grid, g.grid)
     return float(f.grid.weights @ (f.values * g.values))
-
-
-def sq_norm(f: Curve) -> float:
-    """Squared quadrature norm of a curve; always >= 0."""
-    return inner_product(f, f)
 
 
 def _local_linear_matrix(points: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -234,9 +213,3 @@ def smooth_rows(grid: Grid, values: np.ndarray, bandwidth="auto") -> np.ndarray:
     if not np.all(np.isfinite(best)):
         raise EstimationError("no GCV bandwidth gives a finite score")
     return out
-
-
-def smooth_curve(raw: Curve, bandwidth="auto") -> Curve:
-    """Local-linear smooth of a curve onto its own grid; the one-row case of
-    ``smooth_rows``."""
-    return Curve(raw.grid, smooth_rows(raw.grid, raw.values[None, :], bandwidth)[0])

@@ -6,6 +6,7 @@ tails and skewness), and the plain sample covariance baseline.  Both return
 a symmetric positive semidefinite matrix on the sample's grid.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,6 +117,14 @@ def _centered(sample: FunctionalSample) -> tuple[np.ndarray, float]:
     return buf, 2.0 * float(q.sum()) / (n - 1)
 
 
+def _check_degenerate_tol(tol) -> None:
+    """Raise ConfigurationError unless ``tol`` is a finite real >= 0."""
+    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < np.inf):
+        raise ConfigurationError(
+            f"degenerate_tol must be a finite non-negative number, got {tol!r}"
+        )
+
+
 def kendall_tau_hat(
     sample: FunctionalSample, degenerate_tol: float = 1e-12
 ) -> DiscretizedKernel:
@@ -142,14 +151,11 @@ def kendall_tau_hat(
     Raises
     ------
     ConfigurationError
-        ``degenerate_tol`` negative, infinite or NaN.
+        ``degenerate_tol`` not a number, negative, infinite or NaN.
     EstimationError
         Every pair degenerate (e.g. all curves identical).
     """
-    if not 0.0 <= degenerate_tol < np.inf:
-        raise ConfigurationError(
-            f"degenerate_tol must be finite and non-negative, got {degenerate_tol!r}"
-        )
+    _check_degenerate_tol(degenerate_tol)
     buf, mean_sq_norm = _centered(sample)
     accum, ordered_retained = _pair_sum(
         buf, sample.grid.weights, degenerate_tol * mean_sq_norm

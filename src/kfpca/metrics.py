@@ -2,10 +2,13 @@
 
 Eigenfunctions are sign-indeterminate, so every comparison against truth
 first aligns signs; the same sign flips the matching score column, keeping
-eigenfunction and score errors consistent.
+eigenfunction and score errors consistent.  A Monte Carlo run generates its
+dataset once and every method is fitted and scored on that one dataset.
 """
 
 import dataclasses
+import functools
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -70,15 +73,10 @@ def alignment_sign(estimated: Curve, truth: Curve) -> float:
     return -1.0 if inner_product(estimated, truth) < 0 else 1.0
 
 
-def align_sign(estimated: Curve, truth: Curve) -> Curve:
-    """The estimated curve, flipped if that points it toward the truth."""
-    return estimated if alignment_sign(estimated, truth) > 0 else -estimated
-
-
 def imse(estimated: Curve, truth: Curve) -> float:
     """Integrated squared error after sign alignment."""
-    diff = align_sign(estimated, truth) - truth
-    return float(diff.grid.weights @ (diff.values * diff.values))
+    diff = alignment_sign(estimated, truth) * estimated.values - truth.values
+    return float(truth.grid.weights @ (diff * diff))
 
 
 def score_mse(estimated: np.ndarray, truth: np.ndarray, eigenfunction_sign: float) -> float:
@@ -92,30 +90,39 @@ def score_mse(estimated: np.ndarray, truth: np.ndarray, eigenfunction_sign: floa
     return float(np.mean(diff * diff))
 
 
+def _fit_configs(scenario: SimulationScenario, methods) -> tuple[FitConfig, ...]:
+    """The two-component fit of each method, as every run uses it."""
+    return tuple(
+        FitConfig(method=m, n_components=2, seed=scenario.seed) for m in methods
+    )
+
+
+def _evaluate(
+    scenario: SimulationScenario, run_index: int, configs: tuple[FitConfig, ...]
+) -> list[RunMetrics]:
+    """Generate run ``run_index`` once, then fit and score each config on it."""
+    bundle = generate(scenario, run_index)
+    out = []
+    for config in configs:
+        model = fit(bundle.sample, config)
+        imse_k = np.empty(2)
+        mse_k = np.empty(2)
+        for k in range(2):
+            est = model.eigenfunctions[k]
+            tru = bundle.true_eigenfunctions[k]
+            sign = alignment_sign(est, tru)
+            imse_k[k] = imse(est, tru)
+            mse_k[k] = score_mse(model.scores[:, k], bundle.true_scores[:, k], sign)
+        out.append(RunMetrics(imse_k, mse_k, run_index, scenario, config.method))
+    return out
+
+
 def evaluate_run(
     scenario: SimulationScenario, run_index: int, method: str
 ) -> RunMetrics:
     """Generate one run, fit one method with two components, and score it
     against the known truth."""
-    bundle = generate(scenario, run_index)
-    model = fit(
-        bundle.sample,
-        FitConfig(method=method, n_components=2, seed=scenario.seed),
-    )
-    imse_k = np.empty(2)
-    mse_k = np.empty(2)
-    for k in range(2):
-        est = model.eigenfunctions[k]
-        tru = bundle.true_eigenfunctions[k]
-        sign = alignment_sign(est, tru)
-        imse_k[k] = imse(est, tru)
-        mse_k[k] = score_mse(model.scores[:, k], bundle.true_scores[:, k], sign)
-    return RunMetrics(imse_k, mse_k, run_index, scenario, method)
-
-
-def _evaluate_chunk(args) -> list[RunMetrics]:
-    scenario, indices, method = args
-    return [evaluate_run(scenario, r, method) for r in indices]
+    return _evaluate(scenario, run_index, _fit_configs(scenario, (method,)))[0]
 
 
 def default_workers() -> int:
@@ -140,31 +147,30 @@ def run_scenario(
 ) -> dict[str, list[RunMetrics]]:
     """All Monte Carlo runs of a scenario for each method.
 
+    Each run's dataset is generated once and every method is fitted on it.
     Results are identical for any worker count: every run draws from
     streams derived from (seed, run_index) and the output order is fixed.
-    ``workers`` defaults to ``default_workers()``; an explicit count below 1
-    raises ConfigurationError.
+    ``workers`` defaults to ``default_workers()``; the runs are split across
+    one pool of that many processes.  An empty or unknown method, or an
+    explicit ``workers`` that is not an integer >= 1, raises
+    ConfigurationError before any data is generated.
     """
+    configs = _fit_configs(scenario, methods)
+    if not configs:
+        raise ConfigurationError("methods must name at least one method")
     if workers is None:
         workers = default_workers()
-    elif workers < 1:
+    elif not isinstance(workers, numbers.Integral) or workers < 1:
         raise ConfigurationError(f"workers must be an integer >= 1, got {workers!r}")
-    out: dict[str, list[RunMetrics]] = {}
-    for method in methods:
-        if workers == 1 or scenario.runs < 4:
-            out[method] = [
-                evaluate_run(scenario, r, method) for r in range(scenario.runs)
-            ]
-            continue
-        chunks = [
-            (scenario, list(rs), method)
-            for rs in np.array_split(np.arange(scenario.runs), workers)
-            if len(rs)
-        ]
+    evaluate = functools.partial(_evaluate, scenario, configs=configs)
+    if workers == 1 or scenario.runs < 4:
+        rows = [evaluate(r) for r in range(scenario.runs)]
+    else:
+        # one contiguous chunk of runs per worker
+        chunk = -(-scenario.runs // workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_evaluate_chunk, chunks))
-        out[method] = [m for chunk in results for m in chunk]
-    return out
+            rows = list(pool.map(evaluate, range(scenario.runs), chunksize=chunk))
+    return {c.method: [row[i] for row in rows] for i, c in enumerate(configs)}
 
 
 def aggregate(runs: list[RunMetrics]) -> dict[str, tuple[float, float]]:

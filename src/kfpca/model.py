@@ -19,7 +19,7 @@ import numpy as np
 from .core import Curve, FunctionalSample, Grid, _frozen_array, smooth_rows
 from .eigen import eigen_decompose, project_scores
 from .errors import ConfigurationError, DimensionError, InputError, KfpcaError, ParseError
-from .estimators import covariance_hat, kendall_tau_hat, mean_hat
+from .estimators import _check_degenerate_tol, covariance_hat, kendall_tau_hat, mean_hat
 
 KFPCA = "kfpca"
 COV = "cov"
@@ -60,10 +60,7 @@ class FitConfig:
             raise ConfigurationError(
                 "n_components must be a count >= 1 or a threshold in (0, 1)"
             )
-        if not 0.0 <= self.degenerate_tol < np.inf:
-            raise ConfigurationError(
-                f"degenerate_tol must be finite and non-negative, got {self.degenerate_tol!r}"
-            )
+        _check_degenerate_tol(self.degenerate_tol)
 
 
 @dataclass(frozen=True, eq=False)

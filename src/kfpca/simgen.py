@@ -89,12 +89,12 @@ class SimulationScenario:
 
 @dataclass(frozen=True, eq=False)
 class TruthBundle:
-    """One generated dataset together with everything used to build it."""
+    """One generated dataset with its true scores and eigenfunctions (the
+    true mean is zero)."""
 
     sample: FunctionalSample
     true_scores: np.ndarray
     true_eigenfunctions: tuple[Curve, Curve]
-    true_mean: Curve
 
 
 def true_eigenfunctions(case: int, grid: Grid) -> tuple[Curve, Curve]:
@@ -347,7 +347,6 @@ def generate(scenario: SimulationScenario, run_index: int) -> TruthBundle:
         sample=FunctionalSample(grid, values),
         true_scores=scores,
         true_eigenfunctions=(phi1, phi2),
-        true_mean=Curve(grid, np.zeros(grid.size)),
     )
 
 

@@ -296,11 +296,13 @@ class TestMainPlumbing:
              "all curve pairs are degenerate"),
             (["KFPCA_THREADS=junk", "simulate", "--n", "20", "--grid", "11", "--runs", "1",
               "--out", "{out}"], 2, "KFPCA_THREADS"),
+            (["simulate", "--methods", "bogus", "--out", "{out}"], 2, "'bogus'"),
+            (["simulate", "--methods", ",", "--out", "{out}"], 2, "at least one method"),
         ],
         ids=[
             "fit-missing-dir", "simulate-missing-dir", "mean-band-missing-dir",
             "rate-missing-dir", "non-utf8-csv", "negative-bandwidth", "identical-curves",
-            "simulate-bad-threads",
+            "simulate-bad-threads", "simulate-unknown-method", "simulate-no-method",
         ],
     )
     def test_error_is_one_line_and_its_class_sets_the_exit_code(

@@ -13,8 +13,6 @@ from kfpca import (
     derive_rng,
     inner_product,
     make_regular_grid,
-    smooth_curve,
-    sq_norm,
     true_eigenfunctions,
 )
 
@@ -108,7 +106,7 @@ class TestInnerProduct:
         h = Curve(g, rng.standard_normal(31))
         k = Curve(g, rng.standard_normal(31))
         a, b = 2.5, -1.75
-        lhs = inner_product(a * f + b * h, k)
+        lhs = inner_product(Curve(g, a * f.values + b * h.values), k)
         rhs = a * inner_product(f, k) + b * inner_product(h, k)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -129,47 +127,49 @@ class TestInnerProduct:
 class TestSqNorm:
     def test_zero_curve(self):
         g = make_regular_grid(0, 10, 51)
-        assert sq_norm(Curve(g, np.zeros(51))) == 0.0
+        zero = Curve(g, np.zeros(51))
+        assert inner_product(zero, zero) == 0.0
 
     def test_case1_unit_norm_with_oracle(self):
         g = make_regular_grid(0, 10, 51)
         phi1, _ = true_eigenfunctions(1, g)
         oracle = fine_quadrature(lambda t: np.cos(np.pi * t / 10) ** 2 / 5.0)
         assert oracle == pytest.approx(1.0, abs=1e-10)
-        assert sq_norm(phi1) == pytest.approx(1.0, abs=1e-4)
+        assert inner_product(phi1, phi1) == pytest.approx(1.0, abs=1e-4)
 
     def test_constant_two(self):
         g = make_regular_grid(0, 10, 51)
-        assert sq_norm(Curve(g, np.full(51, 2.0))) == pytest.approx(40.0, abs=1e-10)
+        two = Curve(g, np.full(51, 2.0))
+        assert inner_product(two, two) == pytest.approx(40.0, abs=1e-10)
 
 
 class TestSmoothCurve:
     @pytest.mark.parametrize("bandwidth", [0.3, 1.0, 5.0, "auto"])
     def test_reproduces_linear_exactly(self, bandwidth):
         g = make_regular_grid(0, 10, 41)
-        f = Curve(g, 2.0 * g.points - 3.0)
-        out = smooth_curve(f, bandwidth)
-        assert np.allclose(out.values, f.values, atol=1e-9)
+        f = 2.0 * g.points - 3.0
+        out = smooth_rows(g, f[None, :], bandwidth)[0]
+        assert np.allclose(out, f, atol=1e-9)
 
     def test_reproduces_constant(self):
         g = make_regular_grid(0, 10, 41)
-        f = Curve(g, np.full(41, 4.2))
-        assert np.allclose(smooth_curve(f, "auto").values, f.values, atol=1e-10)
+        f = np.full(41, 4.2)
+        assert np.allclose(smooth_rows(g, f[None, :], "auto")[0], f, atol=1e-10)
 
     def test_idempotent_on_linear(self):
         g = make_regular_grid(0, 10, 41)
-        f = Curve(g, 1.5 * g.points)
-        once = smooth_curve(f, 2.0)
-        twice = smooth_curve(once, 2.0)
-        assert np.allclose(once.values, twice.values, atol=1e-9)
+        f = 1.5 * g.points
+        once = smooth_rows(g, f[None, :], 2.0)[0]
+        twice = smooth_rows(g, once[None, :], 2.0)[0]
+        assert np.allclose(once, twice, atol=1e-9)
 
     def test_auto_bandwidth_reduces_noise(self):
         g = make_regular_grid(0, 10, 51)
         truth = np.sin(g.points)
         rng = derive_rng(42, 0)
         noise = 0.1 * rng.standard_normal(51)
-        smoothed = smooth_curve(Curve(g, truth + noise), "auto")
-        rmse_out = np.sqrt(np.mean((smoothed.values - truth) ** 2))
+        smoothed = smooth_rows(g, (truth + noise)[None, :], "auto")[0]
+        rmse_out = np.sqrt(np.mean((smoothed - truth) ** 2))
         rmse_in = np.sqrt(np.mean(noise**2))
         assert rmse_out < rmse_in
 
@@ -190,7 +190,7 @@ class TestSmoothCurve:
         )
         stacked = smooth_rows(g, rows, bandwidth)
         for i, row in enumerate(rows):
-            alone = smooth_curve(Curve(g, row), bandwidth).values
+            alone = smooth_rows(g, row[None, :], bandwidth)[0]
             assert np.abs(stacked[i] - alone).max() <= 1e-12
             assert np.abs(stacked[i] - smooth_reference(g, row, bandwidth)).max() <= 1e-12
 
@@ -205,7 +205,7 @@ class TestSmoothCurve:
     def test_invalid_bandwidth(self, bandwidth):
         g = make_regular_grid(0, 10, 11)
         with pytest.raises(ConfigurationError):
-            smooth_curve(Curve(g, np.zeros(11)), bandwidth)
+            smooth_rows(g, np.zeros((1, 11)), bandwidth)
 
 
 class TestTypes:
@@ -234,15 +234,6 @@ class TestTypes:
         c = Curve(g, np.zeros(5))
         with pytest.raises(ValueError):
             c.values[0] = 1.0
-
-    def test_curve_arithmetic(self):
-        g = make_regular_grid(0, 1, 5)
-        f = Curve(g, np.arange(5.0))
-        h = Curve(g, np.ones(5))
-        assert np.allclose((f + h).values, np.arange(5.0) + 1)
-        assert np.allclose((f - h).values, np.arange(5.0) - 1)
-        assert np.allclose((2 * f).values, 2 * np.arange(5.0))
-        assert np.allclose((-f).values, -np.arange(5.0))
 
 
 class TestDeriveRng:

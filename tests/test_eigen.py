@@ -19,7 +19,6 @@ from kfpca import (
     make_regular_grid,
     mean_hat,
     project_scores,
-    sq_norm,
     true_eigenfunctions,
 )
 
@@ -118,7 +117,7 @@ class TestEigenDecompose:
         phi = eigen_decompose(kernel, 3, smooth=True, bandwidth=bandwidth)
         funcs = [Curve(kernel.grid, row) for row in phi]
         for c in funcs:
-            assert sq_norm(c) == pytest.approx(1.0, abs=1e-10)
+            assert inner_product(c, c) == pytest.approx(1.0, abs=1e-10)
         assert abs(inner_product(funcs[0], funcs[1])) < 1e-2
 
     def test_component_count_validated(self):

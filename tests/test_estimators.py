@@ -178,9 +178,10 @@ class TestKendallTauHat:
         with pytest.raises(EstimationError):
             kendall_tau_hat(sample)
 
-    @pytest.mark.parametrize("bad", [-1e-12, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [-1e-12, float("nan"), float("inf"), "1e-3", None])
     def test_invalid_degenerate_tol_rejected(self, bad):
-        # NaN fails every comparison, so a bare `< 0` check lets it through
+        # NaN fails every comparison, so a bare `< 0` check lets it through;
+        # a string or None fails the comparison itself
         sample = gaussian_case1_sample(10, seed=12)
         with pytest.raises(ConfigurationError, match="degenerate_tol"):
             kendall_tau_hat(sample, degenerate_tol=bad)

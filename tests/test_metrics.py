@@ -8,16 +8,15 @@ from kfpca import (
     RunMetrics,
     SimulationScenario,
     aggregate,
-    align_sign,
     alignment_sign,
     convergence_rate,
     derive_rng,
     evaluate_run,
     imse,
+    inner_product,
     make_regular_grid,
     run_scenario,
     score_mse,
-    sq_norm,
     true_eigenfunctions,
 )
 
@@ -26,24 +25,25 @@ def random_curve(grid, key):
     return Curve(grid, derive_rng(99, key).standard_normal(grid.size))
 
 
+def negated(c):
+    return Curve(c.grid, -c.values)
+
+
 class TestAlignSign:
     def test_flipped_estimate_restored(self):
         g = make_regular_grid(0, 10, 21)
         truth = Curve(g, np.sin(g.points))
-        aligned = align_sign(-truth, truth)
-        assert np.allclose(aligned.values, truth.values)
+        assert alignment_sign(negated(truth), truth) == -1.0
 
     def test_matching_estimate_unchanged(self):
         g = make_regular_grid(0, 10, 21)
         truth = Curve(g, np.sin(g.points))
-        assert np.array_equal(align_sign(truth, truth).values, truth.values)
+        assert alignment_sign(truth, truth) == 1.0
 
     def test_orthogonal_tie_keeps_input_sign(self):
         g = make_regular_grid(0, 1, 4)
         est = Curve(g, np.array([-1.0, 0.0, 0.0, 0.0]))
         truth = Curve(g, np.array([0.0, 0.0, 1.0, 0.0]))
-        aligned = align_sign(est, truth)
-        assert np.array_equal(aligned.values, est.values)
         assert alignment_sign(est, truth) == 1.0
 
 
@@ -56,7 +56,7 @@ class TestImse:
     def test_sign_flip_is_free(self):
         g = make_regular_grid(0, 10, 21)
         f = Curve(g, np.cos(g.points))
-        assert imse(-f, f) == 0.0
+        assert imse(negated(f), f) == 0.0
 
     def test_orthonormal_pair_gives_two(self):
         g = make_regular_grid(0, 10, 51)
@@ -66,14 +66,15 @@ class TestImse:
     def test_invariant_to_sign_of_either_argument(self):
         g = make_regular_grid(0, 10, 31)
         f, t = random_curve(g, 1), random_curve(g, 2)
-        vals = {imse(f, t), imse(-f, t), imse(f, -t), imse(-f, -t)}
+        nf, nt = negated(f), negated(t)
+        vals = {imse(f, t), imse(nf, t), imse(f, nt), imse(nf, nt)}
         assert max(vals) - min(vals) < 1e-12
 
     @pytest.mark.parametrize("key", [3, 4, 5])
     def test_parallelogram_cap(self, key):
         g = make_regular_grid(0, 10, 31)
         f, t = random_curve(g, key), random_curve(g, key + 10)
-        assert imse(f, t) <= 2.0 * (sq_norm(f) + sq_norm(t)) + 1e-12
+        assert imse(f, t) <= 2.0 * (inner_product(f, f) + inner_product(t, t)) + 1e-12
 
 
 class TestScoreMse:
@@ -143,12 +144,61 @@ class TestEvaluateRun:
 
     def test_run_scenario_sequential_matches_parallel(self):
         scenario = SimulationScenario(n_subjects=30, n_points=21, seed=4, runs=6)
-        seq = run_scenario(scenario, ("kfpca",), workers=1)
-        par = run_scenario(scenario, ("kfpca",), workers=2)
-        for a, b in zip(seq["kfpca"], par["kfpca"]):
-            assert np.array_equal(a.imse, b.imse)
-            assert np.array_equal(a.mse, b.mse)
-            assert a.run_index == b.run_index
+        methods = ("kfpca", "cov")
+        seq = run_scenario(scenario, methods, workers=1)
+        par = run_scenario(scenario, methods, workers=2)
+        assert list(seq) == list(par) == list(methods)
+        for method in methods:
+            assert len(seq[method]) == len(par[method]) == scenario.runs
+            for r, (a, b) in enumerate(zip(seq[method], par[method])):
+                alone = evaluate_run(scenario, r, method)
+                for m in (a, b):
+                    assert np.array_equal(m.imse, alone.imse)
+                    assert np.array_equal(m.mse, alone.mse)
+                    assert m.run_index == r and m.method == method
+
+    def test_run_scenario_generates_each_run_once(self, monkeypatch):
+        import kfpca.metrics
+
+        scenario = SimulationScenario(n_subjects=20, n_points=11, seed=5, runs=5)
+        calls = []
+        real = kfpca.metrics.generate
+
+        def counting(scenario, run_index):
+            calls.append(run_index)
+            return real(scenario, run_index)
+
+        monkeypatch.setattr(kfpca.metrics, "generate", counting)
+        out = run_scenario(scenario, ("kfpca", "cov"), workers=1)
+        assert sorted(calls) == list(range(scenario.runs))
+        assert [len(out[m]) for m in ("kfpca", "cov")] == [scenario.runs] * 2
+
+    def test_run_scenario_opens_at_most_one_pool(self, monkeypatch):
+        import kfpca.metrics
+
+        pools = []
+        real = kfpca.metrics.ProcessPoolExecutor
+
+        def counting(*args, **kwargs):
+            pools.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kfpca.metrics, "ProcessPoolExecutor", counting)
+        scenario = SimulationScenario(n_subjects=20, n_points=11, seed=6, runs=4)
+        run_scenario(scenario, ("kfpca", "cov"), workers=2)
+        assert len(pools) <= 1
+
+    @pytest.mark.parametrize("methods", [(), ("kfpca", "pca")])
+    def test_run_scenario_checks_methods_before_generating(self, monkeypatch, methods):
+        import kfpca.metrics
+
+        def fail(*args):
+            raise AssertionError("generate called")
+
+        monkeypatch.setattr(kfpca.metrics, "generate", fail)
+        scenario = SimulationScenario(n_subjects=20, n_points=11, runs=4)
+        with pytest.raises(ConfigurationError, match="method"):
+            run_scenario(scenario, methods, workers=2)
 
 
 class TestExpectedTableValues:
@@ -184,7 +234,7 @@ class TestWorkerConfig:
             with pytest.raises(ConfigurationError, match="KFPCA_THREADS"):
                 default_workers()
 
-    @pytest.mark.parametrize("bad", [0, -3])
+    @pytest.mark.parametrize("bad", [0, -3, 2.5])
     def test_explicit_workers_below_one_rejected(self, bad):
         scenario = SimulationScenario(n_subjects=20, n_points=11, runs=2)
         with pytest.raises(ConfigurationError, match="workers"):

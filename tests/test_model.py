@@ -186,9 +186,10 @@ class TestFit:
         with pytest.raises(ConfigurationError):
             FitConfig(method="pca")
 
-    @pytest.mark.parametrize("bad", [-1e-12, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [-1e-12, float("nan"), float("inf"), "1e-3", None])
     def test_invalid_degenerate_tol_config(self, bad):
-        # NaN fails every comparison, so a bare `< 0` check lets it through
+        # NaN fails every comparison, so a bare `< 0` check lets it through;
+        # a string or None fails the comparison itself
         with pytest.raises(ConfigurationError, match="degenerate_tol"):
             FitConfig(degenerate_tol=bad)
 
