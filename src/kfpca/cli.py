@@ -70,7 +70,10 @@ def _parse_dataset(path, rows) -> FunctionalSample:
                 f"{path}: line {line}: expected {d + start} cells, got {len(row)}",
                 path=str(path),
             )
-        values.append(np.fromiter(parse_row(row, line), float, count=d))
+        try:
+            values.append(np.fromiter(map(float, row[start:]), float, count=d))
+        except ValueError:  # parse again cell by cell to name the bad one
+            values.append(np.fromiter(parse_row(row, line), float, count=d))
     return FunctionalSample(grid, np.array(values).reshape(len(values), d))
 
 

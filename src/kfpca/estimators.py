@@ -268,6 +268,8 @@ def bootstrap_mean_band(
     """
     if not 0.0 < level < 1.0:
         raise ConfigurationError(f"level must lie in (0, 1), got {level}")
+    if not isinstance(replicates, numbers.Integral):
+        raise ConfigurationError(f"replicates must be an integer, got {replicates!r}")
     if replicates < 100:
         raise ConfigurationError(
             f"need at least 100 bootstrap replicates, got {replicates}"

@@ -214,8 +214,8 @@ def convergence_rate(
         raise ConfigurationError("sample sizes must be strictly increasing")
     if sizes[0] < 2:
         raise ConfigurationError("sample sizes must be at least 2")
-    if reps < 1:
-        raise ConfigurationError("reps must be at least 1")
+    if not isinstance(reps, numbers.Integral) or reps < 1:
+        raise ConfigurationError(f"reps must be an integer >= 1, got {reps!r}")
 
     n_ref = RATE_REFERENCE_FACTOR * sizes[-1]
     total_runs = len(sizes) * reps + 1

@@ -10,6 +10,7 @@ skew-t calibrated to skewness 1.5 and excess kurtosis 5.1.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,10 @@ class SimulationScenario:
     def __post_init__(self):
         if self.case not in CASES:
             raise ConfigurationError(f"case must be one of {CASES}, got {self.case}")
+        for name in ("n_subjects", "n_points", "runs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.distribution not in DISTRIBUTIONS:
             raise ConfigurationError(
                 f"unknown distribution {self.distribution!r}; valid: "

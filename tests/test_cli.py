@@ -65,6 +65,26 @@ class TestReadDataset:
         assert "line 3" in str(err.value)
         assert "column 3" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text,line,column",
+        [
+            ("id,0,1,2\na,1,2,3\nb,x,5,6\n", 3, 2),
+            ("id,0,1,2\na,1,2,3\nb,4,5,6\nc,7,8,nan?\n", 4, 4),
+            ("0,1,2\n1,2,3\n4,5,\n", 3, 3),
+        ],
+        ids=["first-data-column-after-id", "last-column", "empty-last-cell"],
+    )
+    def test_bad_cell_is_named_by_line_and_column(self, tmp_path, text, line, column):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"line {line}, column {column}:"):
+            read_dataset(path)
+
+    def test_cells_parse_as_python_floats(self, tmp_path):
+        path = tmp_path / "spellings.csv"
+        path.write_text("id,0,1,2\na, 1.5 ,1e3,1_0\nb,-0.25,+2,.5E-1\n")
+        assert read_dataset(path).values.tolist() == [[1.5, 1000.0, 10.0], [-0.25, 2.0, 0.05]]
+
     def test_minimum_shape_enforced(self, tmp_path, capsys):
         # fit needs 4 grid points and 3 curves; read_dataset leaves that to it
         path = tmp_path / "narrow.csv"

@@ -208,6 +208,63 @@ class TestSmoothCurve:
             smooth_rows(g, np.zeros((1, 11)), bandwidth)
 
 
+def unflushed_local_linear_matrix(points, bandwidth):
+    """The closed-form local-linear smoother with its subnormal weights kept."""
+    dt = points[None, :] - points[:, None]
+    k = np.exp(-0.5 * (dt / bandwidth) ** 2)
+    s0 = k.sum(axis=1)
+    s1 = (k * dt).sum(axis=1)
+    s2 = (k * dt * dt).sum(axis=1)
+    numer = k * (s2[:, None] - dt * s1[:, None])
+    denom = s0 * s2 - s1 * s1
+    bad = denom <= np.finfo(float).tiny * np.maximum(s0 * s2, 1.0)
+    numer[bad] = k[bad]
+    denom = np.where(bad, s0, denom)
+    return numer / denom[:, None]
+
+
+SMOOTHER_GRIDS = [make_regular_grid(0, 10, d) for d in (11, 51, 101, 401)] + [
+    Grid.from_points(np.sort(derive_rng(11, 0).uniform(0, 10, 60)))
+]
+
+
+class TestLocalLinearMatrix:
+    @pytest.mark.parametrize("grid", SMOOTHER_GRIDS, ids=lambda g: f"d{g.size}")
+    def test_unflushed_closed_form_with_subnormal_weights_zeroed(self, grid):
+        tiny = np.finfo(float).tiny
+        line = 2.0 * grid.points - 3.0
+        for cand in list(gcv_bandwidth_candidates(grid)) + [0.01, 1.0]:
+            full = unflushed_local_linear_matrix(grid.points, cand)
+            normal = np.abs(full) >= tiny
+            s = _local_linear_matrix(grid.points, cand)
+            assert np.array_equal(s[normal], full[normal])
+            assert np.all(s[~normal] == 0.0)
+            assert np.allclose(s.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            assert np.allclose(s @ line, line, rtol=0, atol=1e-9)
+
+    def test_gcv_fit_matches_the_unflushed_loop_bit_for_bit(self):
+        grid = make_regular_grid(0, 10, 101)
+        rng = derive_rng(2024, 0)
+        values = np.sin(grid.points) + 0.3 * rng.standard_normal((40, 101))
+        values[::4] = rng.standard_normal((10, 101))
+        d = grid.size
+        out = np.empty_like(values)
+        best = np.full(values.shape[0], np.inf)
+        subnormal = 0
+        for cand in gcv_bandwidth_candidates(grid):
+            s = unflushed_local_linear_matrix(grid.points, cand)
+            subnormal += np.count_nonzero((s != 0) & (np.abs(s) < np.finfo(float).tiny))
+            df = d - float(np.trace(s))
+            fitted = values @ s.T
+            resid = values - fitted
+            score = d * np.einsum("ij,ij->i", resid, resid) / df**2
+            better = score < best
+            best[better] = score[better]
+            out[better] = fitted[better]
+        assert subnormal > 0
+        assert np.array_equal(smooth_rows(grid, values, "auto"), out)
+
+
 class TestTypes:
     def test_curve_length_checked(self):
         g = make_regular_grid(0, 1, 5)

@@ -367,6 +367,12 @@ class TestBootstrapMeanBand:
         with pytest.raises(ConfigurationError):
             bootstrap_mean_band(sample, 0.9, 99, seed=0)
 
+    @pytest.mark.parametrize("replicates", [100.5, 200.0, None, "100"])
+    def test_non_integer_replicates_rejected(self, replicates):
+        sample = gaussian_case1_sample(10, seed=33)
+        with pytest.raises(ConfigurationError, match="replicates"):
+            bootstrap_mean_band(sample, 0.9, replicates, 0)
+
     @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 2.0])
     def test_level_bounds(self, level):
         sample = gaussian_case1_sample(10, seed=34)

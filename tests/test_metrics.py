@@ -249,6 +249,12 @@ class TestConvergenceRate:
         with pytest.raises(ConfigurationError):
             convergence_rate(scenario, (100, 50, 200), 2)
 
+    @pytest.mark.parametrize("reps", [2.5, 2.0, None, "2"])
+    def test_non_integer_reps_rejected(self, reps):
+        scenario = SimulationScenario(n_points=21, seed=1)
+        with pytest.raises(ConfigurationError, match="reps"):
+            convergence_rate(scenario, (20, 40, 80), reps)
+
     def test_small_diagnostic_decays(self):
         scenario = SimulationScenario(n_points=21, seed=6)
         diag = convergence_rate(scenario, (20, 40, 80), reps=3)

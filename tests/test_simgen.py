@@ -244,6 +244,26 @@ class TestGenerate:
         with pytest.raises(ConfigurationError):
             SimulationScenario(seed=-1)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n_subjects", 20.5),
+            ("n_subjects", 20.0),
+            ("n_points", 21.5),
+            ("runs", 2.5),
+            ("runs", True),
+            ("seed", 1.5),
+            ("seed", "3"),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SimulationScenario(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        scenario = SimulationScenario(n_subjects=np.int64(20), runs=np.int32(2))
+        assert generate(scenario, 1).sample.values.shape == (20, 51)
+
     def test_scenario_doc_round_trip(self):
         scenario = SimulationScenario(case=2, distribution="ec2", seed=9)
         assert scenario_from_doc(scenario_to_doc(scenario)) == scenario
