@@ -6,6 +6,7 @@ an inner product is a single weighted dot product and is exact whenever the
 integrand is piecewise linear between grid points.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,21 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """Raise ConfigurationError unless ``value`` is an integer (not a bool)
+    at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_non_negative(name: str, value) -> None:
+    """Raise ConfigurationError unless ``value`` is a finite real >= 0."""
+    if not (isinstance(value, numbers.Real) and 0.0 <= value < np.inf):
+        raise ConfigurationError(
+            f"{name} must be a finite non-negative number, got {value!r}"
+        )
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:

@@ -5,16 +5,17 @@ discretizes to  M W phi = lambda phi  with W = diag(quadrature weights).
 Conjugating by W^{1/2} turns that into an ordinary symmetric eigenproblem
 whose eigenvectors map back to functions orthonormal in the quadrature
 inner product, which is exactly the normalization  integral phi_k^2 = 1.
-``DiscretizedKernel`` solves it once; ``eigen_decompose`` turns its K
-leading eigenvectors into a K x d array of eigenfunction values (the
-eigenvalues are ``kernel.eigenvalues[:K]``), and ``project_scores`` takes
-that array.
+``DiscretizedKernel`` reduces that problem once to tridiagonal form and
+keeps its full spectrum; ``eigen_decompose`` asks the kernel for the K
+leading eigenvectors only and turns them into a K x d array of
+eigenfunction values (the eigenvalues are ``kernel.eigenvalues[:K]``), and
+``project_scores`` takes that array.
 """
 
 import numpy as np
 
 from .core import Curve, FunctionalSample, smooth_rows
-from .errors import ConfigurationError, DimensionError, EstimationError
+from .errors import DimensionError, EstimationError
 from .estimators import DiscretizedKernel
 
 SIGN_TIE_ATOL = 1e-8
@@ -35,15 +36,16 @@ def eigen_decompose(
     smooth: bool = False,
     bandwidth="auto",
 ) -> np.ndarray:
-    """Leading eigenfunctions of a kernel's weighted eigenproblem, which the
-    kernel solved once at construction.
+    """Leading eigenfunctions of a kernel's weighted eigenproblem, from the
+    K eigenvectors ``kernel.leading_eigenvectors(K)`` computes.
 
     Parameters
     ----------
     kernel : DiscretizedKernel
         Symmetric kernel matrix with its grid.
     n_components : int
-        Number of leading eigenfunctions to return (1 <= K <= d).
+        Number of leading eigenfunctions to return; the kernel raises
+        ConfigurationError unless 1 <= K <= d.
     smooth : bool
         If True, each returned eigenfunction is local-linear smoothed and
         then rescaled back to unit quadrature norm.  Orthogonality is not
@@ -59,15 +61,10 @@ def eigen_decompose(
         grid's quadrature inner product (exactly when unsmoothed), with
         signs fixed so each row integrates to a non-negative value.
     """
-    d = kernel.grid.size
-    if not 1 <= n_components <= d:
-        raise ConfigurationError(
-            f"n_components must lie in [1, {d}], got {n_components}"
-        )
     w = kernel.grid.weights
     # rows in C order: the smoother and the score projection multiply by
     # them, and the layout decides how those products round
-    vecs = np.ascontiguousarray(kernel.eigenvectors[:, :n_components].T)
+    vecs = np.ascontiguousarray(kernel.leading_eigenvectors(n_components).T)
     phi = _apply_sign_convention(vecs / np.sqrt(w), w)
     if smooth:
         phi = smooth_rows(kernel.grid, phi, bandwidth)

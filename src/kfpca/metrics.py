@@ -8,14 +8,13 @@ dataset once and every method is fitted and scored on that one dataset.
 
 import dataclasses
 import functools
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Curve, inner_product
+from .core import Curve, _check_count, inner_product
 from .errors import ConfigurationError, InputError
 from .estimators import kendall_tau_hat
 from .model import FitConfig, fit
@@ -160,8 +159,8 @@ def run_scenario(
         raise ConfigurationError("methods must name at least one method")
     if workers is None:
         workers = default_workers()
-    elif not isinstance(workers, numbers.Integral) or workers < 1:
-        raise ConfigurationError(f"workers must be an integer >= 1, got {workers!r}")
+    else:
+        _check_count("workers", workers, 1)
     evaluate = functools.partial(_evaluate, scenario, configs=configs)
     if workers == 1 or scenario.runs < 4:
         rows = [evaluate(r) for r in range(scenario.runs)]
@@ -214,8 +213,7 @@ def convergence_rate(
         raise ConfigurationError("sample sizes must be strictly increasing")
     if sizes[0] < 2:
         raise ConfigurationError("sample sizes must be at least 2")
-    if not isinstance(reps, numbers.Integral) or reps < 1:
-        raise ConfigurationError(f"reps must be an integer >= 1, got {reps!r}")
+    _check_count("reps", reps, 1)
 
     n_ref = RATE_REFERENCE_FACTOR * sizes[-1]
     total_runs = len(sizes) * reps + 1

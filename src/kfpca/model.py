@@ -16,10 +16,18 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import Curve, FunctionalSample, Grid, _frozen_array, smooth_rows
+from .core import (
+    Curve,
+    FunctionalSample,
+    Grid,
+    _check_count,
+    _check_non_negative,
+    _frozen_array,
+    smooth_rows,
+)
 from .eigen import eigen_decompose, project_scores
 from .errors import ConfigurationError, DimensionError, InputError, KfpcaError, ParseError
-from .estimators import _check_degenerate_tol, covariance_hat, kendall_tau_hat, mean_hat
+from .estimators import covariance_hat, kendall_tau_hat, mean_hat
 
 KFPCA = "kfpca"
 COV = "cov"
@@ -60,7 +68,8 @@ class FitConfig:
             raise ConfigurationError(
                 "n_components must be a count >= 1 or a threshold in (0, 1)"
             )
-        _check_degenerate_tol(self.degenerate_tol)
+        _check_non_negative("degenerate_tol", self.degenerate_tol)
+        _check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +223,7 @@ def _config_from_doc(doc: dict) -> FitConfig:
         eigen_smooth=bool(doc["eigen_smooth"]),
         eigen_bandwidth=doc["eigen_bandwidth"],
         degenerate_tol=float(doc["degenerate_tol"]),
-        seed=int(doc["seed"]),
+        seed=doc["seed"],
     )
 
 
@@ -320,11 +329,10 @@ def atomic_write(path, write) -> None:
 def save_model(model: FpcaModel, path) -> None:
     """Write the model document as one line of JSON, atomically."""
 
-    def write(fh):
-        json.dump(serialize_model(model), fh)
-        fh.write("\n")
-
-    atomic_write(path, write)
+    # one C-encoded string: json.dump would stream the document through
+    # the pure-Python encoder, several times slower, to the same bytes
+    text = json.dumps(serialize_model(model)) + "\n"
+    atomic_write(path, lambda fh: fh.write(text))
 
 
 def load_model(path) -> FpcaModel:

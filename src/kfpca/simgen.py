@@ -10,13 +10,20 @@ skew-t calibrated to skewness 1.5 and excess kurtosis 5.1.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize, special
 
-from .core import Curve, FunctionalSample, Grid, derive_rng, make_regular_grid
+from .core import (
+    Curve,
+    FunctionalSample,
+    Grid,
+    _check_count,
+    _check_non_negative,
+    derive_rng,
+    make_regular_grid,
+)
 from .errors import ConfigurationError, DomainError, EstimationError, InputError
 
 DISTRIBUTIONS = ("gaussian", "mix_gaussian", "ec2", "skew_t")
@@ -65,28 +72,19 @@ class SimulationScenario:
     def __post_init__(self):
         if self.case not in CASES:
             raise ConfigurationError(f"case must be one of {CASES}, got {self.case}")
-        for name in ("n_subjects", "n_points", "runs", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        for name, minimum in (("n_subjects", 2), ("n_points", 2), ("runs", 1), ("seed", 0)):
+            _check_count(name, getattr(self, name), minimum)
         if self.distribution not in DISTRIBUTIONS:
             raise ConfigurationError(
                 f"unknown distribution {self.distribution!r}; valid: "
                 + ", ".join(DISTRIBUTIONS)
             )
-        if self.n_subjects < 2:
-            raise ConfigurationError("n_subjects must be at least 2")
-        if self.n_points < 2:
-            raise ConfigurationError("n_points must be at least 2")
-        if self.sigma2 < 0:
-            raise ConfigurationError("sigma2 must be non-negative")
-        if len(self.lambdas) != 2 or any(l < 0 for l in self.lambdas):
+        _check_non_negative("sigma2", self.sigma2)
+        if len(self.lambdas) != 2:
             raise ConfigurationError("lambdas must be two non-negative variances")
+        for value in self.lambdas:
+            _check_non_negative("each of lambdas", value)
         object.__setattr__(self, "lambdas", tuple(float(l) for l in self.lambdas))
-        if self.runs < 1:
-            raise ConfigurationError("runs must be at least 1")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be non-negative")
 
     def grid(self) -> Grid:
         return make_regular_grid(DOMAIN_START, DOMAIN_END, self.n_points)

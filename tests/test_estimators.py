@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import tracemalloc
 from unittest import mock
 
@@ -339,6 +340,107 @@ class TestCovarianceHat:
         assert abs(lam[1] - 9.0) / 9.0 < 0.25
 
 
+@functools.lru_cache(maxsize=None)
+def solved_kernel(kind, n, d, lambdas=(16.0, 9.0)):
+    """A kernel of skew-t data, its weighted matrix W^1/2 M W^1/2 and that
+    matrix's descending eigenpairs from a dense solver."""
+    scenario = SimulationScenario(
+        distribution="skew_t", n_subjects=n, n_points=d, lambdas=lambdas, seed=5
+    )
+    sample = generate(scenario, 0).sample
+    kernel = kendall_tau_hat(sample) if kind == "kendall" else covariance_hat(sample)
+    sqrt_w = np.sqrt(kernel.grid.weights)
+    a = sqrt_w[:, None] * kernel.matrix * sqrt_w[None, :]
+    evals, vecs = np.linalg.eigh(a)
+    return kernel, a, evals[::-1], vecs[:, ::-1]
+
+
+def check_leading_eigenvectors(kernel, a, evals, vecs, k):
+    """Eigenvectors agree with the dense solver's where the eigenvalue is
+    simple (a repeated one, such as the null space of a rank-deficient
+    kernel, has no unique basis), and every column is an orthonormal
+    eigenvector of the weighted matrix."""
+    lam_max = evals[0]
+    assert np.abs(kernel.eigenvalues - evals).max() <= 1e-14 * lam_max
+    v = kernel.leading_eigenvectors(k)
+    assert v.shape == (kernel.grid.size, k)
+    gaps = np.abs(np.diff(evals))
+    gap = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))[:k]
+    simple = gap > 1e-8 * lam_max
+    cos = np.abs(np.sum(v * vecs[:, :k], axis=0))
+    assert simple[: min(k, 2)].all()
+    assert (1.0 - cos[simple]).max() <= 1e-12
+    # orthonormal in the quadrature inner product as eigenfunctions v / sqrt(w)
+    phi = v / np.sqrt(kernel.grid.weights)[:, None]
+    gram = (phi * kernel.grid.weights[:, None]).T @ phi
+    assert np.abs(gram - np.eye(k)).max() <= 1e-12
+    assert np.abs(a @ v - v * kernel.eigenvalues[:k]).max() <= 1e-12 * lam_max
+
+
+class TestLeadingEigenvectors:
+    # the largest k solved by inverse iteration; k + 1 takes divide and conquer
+    @staticmethod
+    def crossover(d):
+        return d // 10
+
+    @pytest.mark.parametrize("kind", ["kendall", "covariance"])
+    @pytest.mark.parametrize("n, d", [(100, 51), (200, 101), (30, 401)])
+    def test_match_a_dense_solve(self, kind, n, d):
+        kernel, a, evals, vecs = solved_kernel(kind, n, d)
+        c = self.crossover(d)
+        for k in sorted({1, 2, c - 1, c, c + 1, d // 2, d} - {0}):
+            check_leading_eigenvectors(kernel, a, evals, vecs, k)
+
+    @pytest.mark.parametrize("kind", ["kendall", "covariance"])
+    def test_clustered_leading_pair(self, kind):
+        kernel, a, evals, vecs = solved_kernel(kind, 100, 51, lambdas=(9.0, 9.0))
+        for k in (1, 2, 3, 4, 25, 51):
+            check_leading_eigenvectors(kernel, a, evals, vecs, k)
+
+    @pytest.mark.parametrize("d", [51, 101, 401])
+    def test_method_follows_the_crossover(self, d, monkeypatch):
+        kernel = solved_kernel("covariance", 30, d)[0]
+        calls = []
+
+        def counting(name):
+            fn = getattr(kfpca.estimators.lapack, name)
+
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(kfpca.estimators.lapack, name, wrapped)
+
+        counting("dstein")
+        counting("dstevd")
+        c = self.crossover(d)
+        kernel.leading_eigenvectors(c)
+        kernel.leading_eigenvectors(c + 1)
+        assert calls == ["dstein", "dstevd"]
+
+    @pytest.mark.parametrize("name, k", [("dstein", 2), ("dstevd", 51)])
+    def test_lapack_failure_raises(self, name, k, monkeypatch):
+        kernel = solved_kernel("kendall", 100, 51)[0]
+        fn = getattr(kfpca.estimators.lapack, name)
+
+        def failing(*args):
+            *out, _ = fn(*args)
+            return (*out, 1)
+
+        monkeypatch.setattr(kfpca.estimators.lapack, name, failing)
+        with pytest.raises(EstimationError, match=name):
+            kernel.leading_eigenvectors(k)
+
+    @pytest.mark.parametrize("k", [0, 52])
+    def test_count_out_of_range(self, k):
+        with pytest.raises(ConfigurationError):
+            solved_kernel("kendall", 100, 51)[0].leading_eigenvectors(k)
+
+    def test_no_eigenvector_matrix_is_kept(self):
+        kernel = solved_kernel("kendall", 100, 51)[0]
+        assert not hasattr(kernel, "eigenvectors")
+
+
 class TestBootstrapMeanBand:
     def test_identical_curves_zero_width(self):
         g = make_regular_grid(0, 1, 5)
@@ -372,6 +474,16 @@ class TestBootstrapMeanBand:
         sample = gaussian_case1_sample(10, seed=33)
         with pytest.raises(ConfigurationError, match="replicates"):
             bootstrap_mean_band(sample, 0.9, replicates, 0)
+
+    @pytest.mark.parametrize(
+        "level, seed, field",
+        [("0.9", 0, "level"), (None, 0, "level"), (0.9, 1.5, "seed"),
+         (0.9, "1", "seed"), (0.9, True, "seed"), (0.9, -1, "seed")],
+    )
+    def test_wrong_typed_level_or_seed_rejected(self, level, seed, field):
+        sample = gaussian_case1_sample(10, seed=33)
+        with pytest.raises(ConfigurationError, match=field):
+            bootstrap_mean_band(sample, level, 100, seed)
 
     @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 2.0])
     def test_level_bounds(self, level):

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kfpca import (
     ConfigurationError,
@@ -31,6 +32,7 @@ from kfpca import (
 )
 import kfpca.eigen
 import kfpca.model
+from kfpca.model import atomic_write
 
 
 def one_factor_sample(n=12, seed=0):
@@ -133,19 +135,23 @@ class TestFit:
 
     @pytest.mark.parametrize("method", ["kfpca", "cov"])
     def test_plain_fit_makes_one_eigensolve(self, method, monkeypatch):
+        # one Householder reduction of the kernel, and no dense eigensolver
         calls = []
 
-        def counting(fn):
+        def counting(module, name):
+            fn = getattr(module, name)
+
             def wrapped(*args, **kwargs):
-                calls.append(fn.__name__)
+                calls.append(name)
                 return fn(*args, **kwargs)
 
-            return wrapped
+            monkeypatch.setattr(module, name, wrapped)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+        counting(scipy.linalg.lapack, "dsytrd")
+        counting(np.linalg, "eigh")
+        counting(np.linalg, "eigvalsh")
         fit(noisy_sample(seed=15), FitConfig(method=method, n_components=0.95))
-        assert calls == ["eigh"]
+        assert calls == ["dsytrd"]
 
     @pytest.mark.parametrize(
         "module, options, rows",
@@ -181,6 +187,14 @@ class TestFit:
     def test_invalid_n_components_config(self, bad):
         with pytest.raises(ConfigurationError):
             FitConfig(n_components=bad)
+
+    @pytest.mark.parametrize("bad", [1.5, -1, True, "3", None, float("inf")])
+    def test_seed_must_be_a_non_negative_integer(self, bad):
+        with pytest.raises(ConfigurationError, match="seed"):
+            FitConfig(seed=bad)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert FitConfig(seed=np.int64(3)).seed == 3
 
     def test_invalid_method_config(self):
         with pytest.raises(ConfigurationError):
@@ -256,7 +270,7 @@ class TestSerialization:
         before = path.read_bytes()
 
         def half_serializable(m):
-            # json.dump has written the first numbers when it reaches object()
+            # the document cannot be encoded, so nothing may be written
             return {"scores": [1.0, 2.0, object()]}
 
         monkeypatch.setattr(kfpca.model, "serialize_model", half_serializable)
@@ -297,6 +311,28 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             deserialize_model(doc)
         assert err.value.path == path
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True])
+    def test_saved_seed_is_not_coerced(self, seed):
+        # 1.5 used to read back as 1
+        doc = serialize_model(fit(noisy_sample(seed=22), FitConfig(n_components=2)))
+        doc["config"]["seed"] = seed
+        with pytest.raises(ParseError) as err:
+            deserialize_model(json.loads(json.dumps(doc)))
+        assert err.value.path == "config"
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+
+        def half_written(fh):
+            fh.write("new")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError):
+            atomic_write(path, half_written)
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
 
     def test_missing_field_named(self):
         model = fit(noisy_sample(seed=22), FitConfig(n_components=2))

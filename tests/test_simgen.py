@@ -260,6 +260,21 @@ class TestGenerate:
         with pytest.raises(ConfigurationError, match=field):
             SimulationScenario(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sigma2", float("nan")),
+            ("sigma2", float("inf")),
+            ("sigma2", "0.25"),
+            ("lambdas", (float("nan"), 9.0)),
+            ("lambdas", (16.0, float("inf"))),
+            ("lambdas", (16.0, None)),
+        ],
+    )
+    def test_non_finite_variances_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SimulationScenario(**{field: value})
+
     def test_numpy_integer_counts_accepted(self):
         scenario = SimulationScenario(n_subjects=np.int64(20), runs=np.int32(2))
         assert generate(scenario, 1).sample.values.shape == (20, 51)
