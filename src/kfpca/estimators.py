@@ -123,7 +123,10 @@ class DiscretizedKernel:
         Q (dormqr).  Inverse iteration costs grow with k, divide and conquer
         costs the same for any k; timed from T to the d x k result (one BLAS
         thread, OpenBLAS 0.3.31, 2-vCPU x86-64 guest) the two broke even at
-        about k = 8 of d = 51, 13 of d = 101 and 40 of d = 401.
+        about k = 8 of d = 51, 13 of d = 101 and 40 of d = 401.  MRRR
+        (dstemr with an index range) cannot replace both: on the same host
+        it took 0.045 ms at (d, k) = (51, 2) against dstein's 0.052, but
+        2.27 ms at (101, 75) against dstevd's 0.76.
         Raises EstimationError when LAPACK reports a failure.
         """
         d = self.grid.size

@@ -70,6 +70,9 @@ class FitConfig:
             )
         _check_non_negative("degenerate_tol", self.degenerate_tol)
         _check_count("seed", self.seed, 0)
+        # numpy scalars pass the checks but not json.dumps in save_model
+        object.__setattr__(self, "degenerate_tol", float(self.degenerate_tol))
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True, eq=False)

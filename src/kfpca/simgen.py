@@ -84,6 +84,10 @@ class SimulationScenario:
             raise ConfigurationError("lambdas must be two non-negative variances")
         for value in self.lambdas:
             _check_non_negative("each of lambdas", value)
+        # numpy scalars pass the checks but not json.dumps of scenario_to_doc
+        for name in ("case", "n_subjects", "n_points", "runs", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "sigma2", float(self.sigma2))
         object.__setattr__(self, "lambdas", tuple(float(l) for l in self.lambdas))
 
     def grid(self) -> Grid:

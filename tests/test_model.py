@@ -193,8 +193,13 @@ class TestFit:
         with pytest.raises(ConfigurationError, match="seed"):
             FitConfig(seed=bad)
 
-    def test_numpy_integer_seed_accepted(self):
-        assert FitConfig(seed=np.int64(3)).seed == 3
+    def test_numpy_integer_seed_accepted(self, tmp_path):
+        config = FitConfig(n_components=2, seed=np.int64(3), degenerate_tol=np.float32(0.0))
+        assert config.seed == 3 and type(config.seed) is int
+        path = tmp_path / "m.json"
+        save_model(fit(noisy_sample(n=20, seed=16), config), path)
+        back = load_model(path).config
+        assert (back.seed, back.degenerate_tol) == (3, 0.0)
 
     def test_invalid_method_config(self):
         with pytest.raises(ConfigurationError):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -276,8 +277,14 @@ class TestGenerate:
             SimulationScenario(**{field: value})
 
     def test_numpy_integer_counts_accepted(self):
-        scenario = SimulationScenario(n_subjects=np.int64(20), runs=np.int32(2))
-        assert generate(scenario, 1).sample.values.shape == (20, 51)
+        scenario = SimulationScenario(
+            case=np.int64(2), n_subjects=np.int64(20), n_points=np.int32(31),
+            sigma2=np.float32(0.5), lambdas=(np.float32(4.0), 1.0),
+            runs=np.int32(2), seed=np.int64(7),
+        )
+        assert generate(scenario, 1).sample.values.shape == (20, 31)
+        doc = json.loads(json.dumps(scenario_to_doc(scenario)))
+        assert scenario_from_doc(doc) == scenario
 
     def test_scenario_doc_round_trip(self):
         scenario = SimulationScenario(case=2, distribution="ec2", seed=9)

@@ -4,15 +4,15 @@ alternated pairs, and write BENCH_<pr>.json.
 Usage, from the repository root:
 
     python3 tools/bench_pairs.py --parent HEAD --pr 9 --pairs 10 --first-seed 901 \
-        --seconds 30 --what "one line on the change" mc_paper fit_large_n cli_smooth
+        --what "one line on the change" mc_paper fit_large_n cli_smooth
 
 The parent side runs in a plain snapshot of ``--parent`` (``git archive``
 into a temporary directory, removed afterwards); the change side runs in
 the working tree, uncommitted edits included.  Pair i uses seed
 ``first_seed + i`` on both sides, each run is ``perfbench/run.py --trace 0``
 in a fresh process, one at a time, and the parent runs first on even pairs.
-Each workload's end-to-end metrics, with their direction and bound, come
-from the working tree's BENCHMARK.json.
+The run length (``run_seconds``) and each workload's end-to-end metrics,
+with their direction and bound, come from the working tree's BENCHMARK.json.
 """
 
 import argparse
@@ -114,18 +114,18 @@ def parse_args(argv):
     p.add_argument("--pr", required=True, type=int, help="number in BENCH_<pr>.json")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--first-seed", required=True, type=int)
-    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--what", default="", help="one line describing the change")
     p.add_argument("workloads", nargs="+")
     args = p.parse_args(argv)
-    if args.pairs < 1 or args.first_seed < 0 or args.seconds <= 0:
-        p.error("--pairs must be >= 1, --first-seed >= 0 and --seconds > 0")
+    if args.pairs < 1 or args.first_seed < 0:
+        p.error("--pairs must be >= 1 and --first-seed >= 0")
     return args
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    spec, seconds = bench["end_to_end"], bench["run_seconds"]
     seeds = range(args.first_seed, args.first_seed + args.pairs)
     summaries = {}
     env = None
@@ -136,14 +136,14 @@ def main(argv=None) -> int:
             results = {s: [] for s in SIDES}
             for i, seed in enumerate(seeds):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    line, env = run_once(trees[side], workload, seed, args.seconds)
+                    line, env = run_once(trees[side], workload, seed, seconds)
                     results[side].append(line)
                     print(f"{workload} seed {seed} {side}: op_ms_p50 "
                           f"{line['metrics']['op_ms_p50']['value']:.4f}", flush=True)
             summaries[workload] = summarize_workload(seeds, results, spec)
     method = {
         "command": f"python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "pairs": "parent and change each run once per seed, in a fresh process, from "
                  "separate checkouts; the order alternates (parent first on even pairs)",
         "parent": subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
