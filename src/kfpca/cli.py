@@ -98,12 +98,11 @@ def _parse_ncomp(text: str):
 
 
 def _parse_bandwidth(text: str):
-    if text == "auto":
-        return "auto"
+    """A number as a float; other text as it is, for FitConfig to check."""
     try:
         return float(text)
     except ValueError:
-        raise ConfigurationError(f"bandwidth must be 'auto' or a number, got {text!r}")
+        return text
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:

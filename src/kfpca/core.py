@@ -37,6 +37,16 @@ def _check_non_negative(name: str, value) -> None:
         )
 
 
+def _check_bandwidth(name: str, value) -> float | str:
+    """``value`` as "auto" or a float; raise ConfigurationError unless it is
+    "auto" or a real > 0 that is neither a bool nor NaN."""
+    if isinstance(value, str) and value == "auto":
+        return value
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value > 0):
+        raise ConfigurationError(f"{name} must be positive or 'auto', got {value!r}")
+    return float(value)
+
+
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Create an independent generator keyed on (seed, *key).
 
@@ -165,6 +175,12 @@ def inner_product(f: Curve, g: Curve) -> float:
     return float(f.grid.weights @ (f.values * g.values))
 
 
+def _weighted_dots(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``weights @ row`` for each row of a K x d array, as one vector dot per
+    row (a stack of 1 x d products); a matrix-vector product rounds otherwise."""
+    return (rows[:, None, :] @ weights)[:, 0]
+
+
 def _local_linear_matrix(points: np.ndarray, bandwidth: float) -> np.ndarray:
     """Smoother matrix of a Gaussian local-linear fit (rows sum to one).
 
@@ -222,12 +238,9 @@ def smooth_rows(grid: Grid, values: np.ndarray, bandwidth="auto") -> np.ndarray:
     Raises EstimationError if no candidate gives a row a finite score.
     """
     pts = grid.points
-    if not isinstance(bandwidth, str):
-        if not bandwidth > 0:
-            raise ConfigurationError(f"bandwidth must be positive, got {bandwidth}")
-        return values @ _local_linear_matrix(pts, float(bandwidth)).T
+    bandwidth = _check_bandwidth("bandwidth", bandwidth)
     if bandwidth != "auto":
-        raise ConfigurationError(f"unknown bandwidth spec {bandwidth!r}")
+        return values @ _local_linear_matrix(pts, bandwidth).T
     # one candidate smoother and one fitted block at a time
     d = grid.size
     out = np.empty_like(values)

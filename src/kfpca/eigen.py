@@ -14,7 +14,7 @@ eigenfunction values (the eigenvalues are ``kernel.eigenvalues[:K]``), and
 
 import numpy as np
 
-from .core import Curve, FunctionalSample, smooth_rows
+from .core import Curve, FunctionalSample, _weighted_dots, smooth_rows
 from .errors import DimensionError, EstimationError
 from .estimators import DiscretizedKernel
 
@@ -68,9 +68,7 @@ def eigen_decompose(
     phi = _apply_sign_convention(vecs / np.sqrt(w), w)
     if smooth:
         phi = smooth_rows(kernel.grid, phi, bandwidth)
-        # one vector dot per row (a stack of 1 x d products), which rounds
-        # as w @ (row * row) does; a matrix-vector product would not
-        norms = ((phi * phi)[:, None, :] @ w)[:, 0]
+        norms = _weighted_dots(phi * phi, w)
         annihilated = np.flatnonzero(norms <= 0)
         if annihilated.size:
             raise EstimationError(

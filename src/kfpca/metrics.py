@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Curve, _check_count, inner_product
+from .core import Curve, _check_count, _require_same_grid, _weighted_dots
 from .errors import ConfigurationError, InputError
 from .estimators import kendall_tau_hat
 from .model import FitConfig, fit
@@ -64,18 +64,40 @@ class RateDiagnostic:
             raise InputError("sup errors must be positive")
 
 
+def _aligned_imses(est: np.ndarray, truth: np.ndarray, weights: np.ndarray):
+    """Alignment signs and integrated squared errors of the rows of two
+    K x d arrays.  Row k's sign is +1 or -1, whichever makes its weighted
+    inner product with truth[k] >= 0; a zero product keeps the input sign."""
+    signs = np.where(_weighted_dots(est * truth, weights) < 0, -1.0, 1.0)
+    diff = signs[:, None] * est - truth
+    return signs, _weighted_dots(diff * diff, weights)
+
+
+def _score_mses(est: np.ndarray, truth: np.ndarray, signs) -> np.ndarray:
+    """Mean squared error of each column of two N x K score matrices, column
+    k of the estimate times signs[k].  Each mean sums one contiguous row of
+    the transposed squares, as np.mean of a 1-D array does; axis 0 would not."""
+    diff = est * signs - truth
+    return np.ascontiguousarray((diff * diff).T).mean(axis=1)
+
+
+def _aligned_pair(estimated: Curve, truth: Curve):
+    """``_aligned_imses`` of one estimate against its truth on one grid."""
+    _require_same_grid(estimated.grid, truth.grid)
+    return _aligned_imses(estimated.values[None], truth.values[None], truth.grid.weights)
+
+
 def alignment_sign(estimated: Curve, truth: Curve) -> float:
     """+1 or -1, whichever makes the inner product with truth >= 0.
 
     A zero inner product keeps the input sign.
     """
-    return -1.0 if inner_product(estimated, truth) < 0 else 1.0
+    return float(_aligned_pair(estimated, truth)[0][0])
 
 
 def imse(estimated: Curve, truth: Curve) -> float:
     """Integrated squared error after sign alignment."""
-    diff = alignment_sign(estimated, truth) * estimated.values - truth.values
-    return float(truth.grid.weights @ (diff * diff))
+    return float(_aligned_pair(estimated, truth)[1][0])
 
 
 def score_mse(estimated: np.ndarray, truth: np.ndarray, eigenfunction_sign: float) -> float:
@@ -85,8 +107,7 @@ def score_mse(estimated: np.ndarray, truth: np.ndarray, eigenfunction_sign: floa
     tru = np.asarray(truth, dtype=float)
     if est.shape != tru.shape:
         raise InputError("score vectors must have equal length")
-    diff = eigenfunction_sign * est - tru
-    return float(np.mean(diff * diff))
+    return float(_score_mses(est.reshape(-1, 1), tru.reshape(-1, 1), eigenfunction_sign)[0])
 
 
 def _fit_configs(scenario: SimulationScenario, methods) -> tuple[FitConfig, ...]:
@@ -101,18 +122,15 @@ def _evaluate(
 ) -> list[RunMetrics]:
     """Generate run ``run_index`` once, then fit and score each config on it."""
     bundle = generate(scenario, run_index)
+    weights = bundle.sample.grid.weights
+    truth = scenario._design[2]  # the bundle's truth curves, stacked once
     out = []
     for config in configs:
         model = fit(bundle.sample, config)
-        imse_k = np.empty(2)
-        mse_k = np.empty(2)
-        for k in range(2):
-            est = model.eigenfunctions[k]
-            tru = bundle.true_eigenfunctions[k]
-            sign = alignment_sign(est, tru)
-            imse_k[k] = imse(est, tru)
-            mse_k[k] = score_mse(model.scores[:, k], bundle.true_scores[:, k], sign)
-        out.append(RunMetrics(imse_k, mse_k, run_index, scenario, config.method))
+        est = np.stack([c.values for c in model.eigenfunctions])
+        signs, imses = _aligned_imses(est, truth, weights)
+        mses = _score_mses(model.scores, bundle.true_scores, signs)
+        out.append(RunMetrics(imses, mses, run_index, scenario, config.method))
     return out
 
 
@@ -206,40 +224,26 @@ def convergence_rate(
     everything noiseless; the slope of log mean error on log size is the
     rate estimate (theory: -1/2).
     """
-    sizes = tuple(int(n) for n in sample_sizes)
+    sizes = tuple(sample_sizes)
+    for n in sizes:
+        _check_count("each sample size", n, 2)
     if len(sizes) < 3:
         raise ConfigurationError("need at least 3 sample sizes")
     if any(b <= a for a, b in zip(sizes[:-1], sizes[1:])):
         raise ConfigurationError("sample sizes must be strictly increasing")
-    if sizes[0] < 2:
-        raise ConfigurationError("sample sizes must be at least 2")
     _check_count("reps", reps, 1)
 
-    n_ref = RATE_REFERENCE_FACTOR * sizes[-1]
-    total_runs = len(sizes) * reps + 1
-    noiseless = dataclasses.replace(scenario, sigma2=0.0, runs=total_runs)
-
-    ref_bundle = generate(
-        dataclasses.replace(noiseless, n_subjects=n_ref), len(sizes) * reps
-    )
-    reference = kendall_tau_hat(ref_bundle.sample).matrix
+    noiseless = dataclasses.replace(scenario, sigma2=0.0, runs=len(sizes) * reps + 1)
+    ref = dataclasses.replace(noiseless, n_subjects=RATE_REFERENCE_FACTOR * sizes[-1])
+    reference = kendall_tau_hat(generate(ref, len(sizes) * reps).sample).matrix
 
     means = []
     for si, n in enumerate(sizes):
         sized = dataclasses.replace(noiseless, n_subjects=n)
-        errs = [
-            float(
-                np.max(
-                    np.abs(
-                        kendall_tau_hat(
-                            generate(sized, si * reps + rep).sample
-                        ).matrix
-                        - reference
-                    )
-                )
-            )
-            for rep in range(reps)
-        ]
+        errs = []
+        for rep in range(reps):
+            estimate = kendall_tau_hat(generate(sized, si * reps + rep).sample).matrix
+            errs.append(float(np.max(np.abs(estimate - reference))))
         means.append(float(np.mean(errs)))
     slope = float(np.polyfit(np.log(sizes), np.log(means), 1)[0])
     return RateDiagnostic(sizes, np.asarray(means), slope)

@@ -12,7 +12,7 @@ The fitted object serializes to a single JSON document.
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .core import (
     Curve,
     FunctionalSample,
     Grid,
+    _check_bandwidth,
     _check_count,
     _check_non_negative,
     _frozen_array,
@@ -42,8 +43,9 @@ class FitConfig:
 
     ``n_components`` is either an integer count or a float in (0, 1) read
     as a fraction-of-variance-explained threshold on the decomposed
-    spectrum.  ``seed`` is carried along for downstream resampling only;
-    the fit itself is deterministic.
+    spectrum.  The two flags are bools (a numpy bool is stored as one), and
+    each bandwidth is "auto" or a positive number.  ``seed`` is carried
+    along for downstream resampling only; the fit itself is deterministic.
     """
 
     method: str = KFPCA
@@ -70,6 +72,13 @@ class FitConfig:
             )
         _check_non_negative("degenerate_tol", self.degenerate_tol)
         _check_count("seed", self.seed, 0)
+        for name in ("presmooth", "eigen_smooth"):
+            flag = getattr(self, name)
+            if not isinstance(flag, (bool, np.bool_)):
+                raise ConfigurationError(f"{name} must be a bool, got {flag!r}")
+            object.__setattr__(self, name, bool(flag))
+        for name in ("presmooth_bandwidth", "eigen_bandwidth"):
+            object.__setattr__(self, name, _check_bandwidth(name, getattr(self, name)))
         # numpy scalars pass the checks but not json.dumps in save_model
         object.__setattr__(self, "degenerate_tol", float(self.degenerate_tol))
         object.__setattr__(self, "seed", int(self.seed))
@@ -215,19 +224,8 @@ def reconstruct(model: FpcaModel, subject: int, n_components: int) -> Curve:
 
 
 def _config_from_doc(doc: dict) -> FitConfig:
-    n = doc["n_components"]
-    if isinstance(n, float) and n >= 1.0:
-        n = int(n)
-    return FitConfig(
-        method=doc["method"],
-        n_components=n,
-        presmooth=bool(doc["presmooth"]),
-        presmooth_bandwidth=doc["presmooth_bandwidth"],
-        eigen_smooth=bool(doc["eigen_smooth"]),
-        eigen_bandwidth=doc["eigen_bandwidth"],
-        degenerate_tol=float(doc["degenerate_tol"]),
-        seed=doc["seed"],
-    )
+    """The saved config, each field checked as it was read, not coerced."""
+    return FitConfig(**{f.name: doc[f.name] for f in fields(FitConfig)})
 
 
 def serialize_model(model: FpcaModel) -> dict:

@@ -9,8 +9,9 @@ exponential radial shared within a subject, and a skewed heavy-tailed
 skew-t calibrated to skewness 1.5 and excess kurtosis 5.1.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy import optimize, special
@@ -90,8 +91,19 @@ class SimulationScenario:
         object.__setattr__(self, "sigma2", float(self.sigma2))
         object.__setattr__(self, "lambdas", tuple(float(l) for l in self.lambdas))
 
-    def grid(self) -> Grid:
-        return make_regular_grid(DOMAIN_START, DOMAIN_END, self.n_points)
+    @functools.cached_property
+    def _design(self) -> tuple[Grid, tuple[Curve, Curve], np.ndarray]:
+        """The grid, the two truth curves and their read-only 2 x d basis,
+        built on first use and shared by every run of the scenario."""
+        grid = make_regular_grid(DOMAIN_START, DOMAIN_END, self.n_points)
+        truth = true_eigenfunctions(self.case, grid)
+        basis = np.stack([c.values for c in truth])
+        basis.setflags(write=False)
+        return grid, truth, basis
+
+    def __getstate__(self):
+        # unpickled arrays are writable, so a copy builds its own design
+        return {k: v for k, v in self.__dict__.items() if k != "_design"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,15 +132,9 @@ def true_eigenfunctions(case: int, grid: Grid) -> tuple[Curve, Curve]:
             f"[{t[0]}, {t[-1]}]"
         )
     root5 = math.sqrt(5.0)
-    if case == 1:
-        return (
-            Curve(grid, np.cos(np.pi * t / 10.0) / root5),
-            Curve(grid, np.sin(np.pi * t / 10.0) / root5),
-        )
-    return (
-        Curve(grid, np.sin(np.pi * t / 5.0) / root5),
-        Curve(grid, np.cos(np.pi * t / 5.0) / root5),
-    )
+    angle = np.pi * t / (10.0 if case == 1 else 5.0)
+    first, second = (np.cos, np.sin) if case == 1 else (np.sin, np.cos)
+    return Curve(grid, first(angle) / root5), Curve(grid, second(angle) / root5)
 
 
 def _skew_t_b(df: float) -> float:
@@ -331,15 +337,12 @@ def generate(scenario: SimulationScenario, run_index: int) -> TruthBundle:
     """Generate one run's observation matrix plus its ground truth.
 
     Deterministic in (scenario.seed, run_index): scores and noise come
-    from separate derived streams, so runs can execute in any order.
+    from separate derived streams, so runs can execute in any order.  Every
+    run of one scenario object shares its read-only grid and truth curves.
     """
     if not 0 <= run_index < scenario.runs:
-        raise InputError(
-            f"run_index {run_index} out of range [0, {scenario.runs})"
-        )
-    grid = scenario.grid()
-    phi1, phi2 = true_eigenfunctions(scenario.case, grid)
-    basis = np.stack([phi1.values, phi2.values])
+        raise InputError(f"run_index {run_index} out of range [0, {scenario.runs})")
+    grid, truth, basis = scenario._design
 
     score_rng = derive_rng(scenario.seed, run_index, _SCORE_STREAM)
     noise_rng = derive_rng(scenario.seed, run_index, _NOISE_STREAM)
@@ -353,35 +356,18 @@ def generate(scenario: SimulationScenario, run_index: int) -> TruthBundle:
     return TruthBundle(
         sample=FunctionalSample(grid, values),
         true_scores=scores,
-        true_eigenfunctions=(phi1, phi2),
+        true_eigenfunctions=truth,
     )
 
 
 def scenario_to_doc(scenario: SimulationScenario) -> dict:
     """JSON-compatible scenario document."""
-    return {
-        "case": scenario.case,
-        "distribution": scenario.distribution,
-        "n_subjects": scenario.n_subjects,
-        "n_points": scenario.n_points,
-        "sigma2": scenario.sigma2,
-        "lambdas": list(scenario.lambdas),
-        "runs": scenario.runs,
-        "seed": scenario.seed,
-    }
+    return {**asdict(scenario), "lambdas": list(scenario.lambdas)}
 
 
 def scenario_from_doc(doc: dict) -> SimulationScenario:
+    """The scenario of a document, each field checked as it was read."""
     try:
-        return SimulationScenario(
-            case=int(doc["case"]),
-            distribution=str(doc["distribution"]),
-            n_subjects=int(doc["n_subjects"]),
-            n_points=int(doc["n_points"]),
-            sigma2=float(doc["sigma2"]),
-            lambdas=tuple(doc["lambdas"]),
-            runs=int(doc["runs"]),
-            seed=int(doc["seed"]),
-        )
+        return SimulationScenario(**{f.name: doc[f.name] for f in fields(SimulationScenario)})
     except KeyError as exc:
         raise InputError(f"scenario document is missing field {exc.args[0]!r}")

@@ -312,6 +312,11 @@ class TestMainPlumbing:
             (["fit", "{latin1}", "--out", "{out}"], 2, "UTF-8"),
             (["fit", "{data}", "--presmooth", "--presmooth-bandwidth", "-1", "--out", "{out}"],
              2, "bandwidth must be positive"),
+            # without --presmooth a negative bandwidth used to be accepted
+            (["fit", "{data}", "--presmooth-bandwidth", "-1", "--out", "{out}"], 2,
+             "presmooth_bandwidth must be positive"),
+            (["fit", "{data}", "--eigen-bandwidth", "bogus", "--out", "{out}"], 2,
+             "eigen_bandwidth must be positive or 'auto', got 'bogus'"),
             (["fit", "{identical}", "--method", "kfpca", "--out", "{out}"], 3,
              "all curve pairs are degenerate"),
             (["KFPCA_THREADS=junk", "simulate", "--n", "20", "--grid", "11", "--runs", "1",
@@ -321,7 +326,8 @@ class TestMainPlumbing:
         ],
         ids=[
             "fit-missing-dir", "simulate-missing-dir", "mean-band-missing-dir",
-            "rate-missing-dir", "non-utf8-csv", "negative-bandwidth", "identical-curves",
+            "rate-missing-dir", "non-utf8-csv", "negative-bandwidth",
+            "unused-negative-bandwidth", "unknown-bandwidth", "identical-curves",
             "simulate-bad-threads", "simulate-unknown-method", "simulate-no-method",
         ],
     )

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from kfpca.core import _local_linear_matrix, gcv_bandwidth_candidates, smooth_rows
+from kfpca.core import (
+    _local_linear_matrix,
+    _weighted_dots,
+    gcv_bandwidth_candidates,
+    smooth_rows,
+)
 from kfpca import (
     ConfigurationError,
     Curve,
@@ -124,6 +129,18 @@ class TestInnerProduct:
         )
 
 
+class TestWeightedDots:
+    @pytest.mark.parametrize("d", [2, 11, 51, 101, 401])
+    def test_each_row_rounds_as_its_own_dot(self, d):
+        rng = derive_rng(31, d)
+        w = rng.random(d)
+        rows = rng.standard_normal((7, d))
+        got = _weighted_dots(rows, w)
+        assert got.shape == (7,)
+        for k in range(7):
+            assert got[k] == w @ rows[k]
+
+
 class TestSqNorm:
     def test_zero_curve(self):
         g = make_regular_grid(0, 10, 51)
@@ -201,10 +218,13 @@ class TestSmoothCurve:
         with pytest.raises(EstimationError):
             smooth_rows(g, rows)
 
-    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, "bogus"])
+    # True used to smooth with bandwidth 1.0
+    @pytest.mark.parametrize(
+        "bandwidth", [0.0, -1.0, "bogus", True, np.bool_(True), float("nan"), None]
+    )
     def test_invalid_bandwidth(self, bandwidth):
         g = make_regular_grid(0, 10, 11)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="bandwidth must be positive"):
             smooth_rows(g, np.zeros((1, 11)), bandwidth)
 
 

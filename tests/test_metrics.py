@@ -4,6 +4,8 @@ import pytest
 from kfpca import (
     ConfigurationError,
     Curve,
+    DimensionError,
+    FitConfig,
     InputError,
     RunMetrics,
     SimulationScenario,
@@ -12,6 +14,8 @@ from kfpca import (
     convergence_rate,
     derive_rng,
     evaluate_run,
+    fit,
+    generate,
     imse,
     inner_product,
     make_regular_grid,
@@ -19,6 +23,7 @@ from kfpca import (
     score_mse,
     true_eigenfunctions,
 )
+from kfpca.simgen import DISTRIBUTIONS
 
 
 def random_curve(grid, key):
@@ -77,6 +82,34 @@ class TestImse:
         assert imse(f, t) <= 2.0 * (inner_product(f, f) + inner_product(t, t)) + 1e-12
 
 
+class TestOneRowFormulas:
+    """The public single-component functions against the plain formulas."""
+
+    @pytest.mark.parametrize("key", [6, 7, 8])
+    def test_sign_and_imse_round_as_one_vector_dot(self, key):
+        g = make_regular_grid(0, 10, 51)
+        f, t = random_curve(g, key), random_curve(g, key + 10)
+        w = g.weights
+        sign = -1.0 if w @ (f.values * t.values) < 0 else 1.0
+        diff = sign * f.values - t.values
+        assert alignment_sign(f, t) == sign
+        assert imse(f, t) == float(w @ (diff * diff))
+
+    @pytest.mark.parametrize("n", [5, 100, 1000])
+    def test_score_mse_is_the_mean_of_one_contiguous_array(self, n):
+        rng = derive_rng(40, n)
+        est, tru = rng.standard_normal((2, n))
+        diff = -1.0 * est - tru
+        assert score_mse(est, tru, -1.0) == float(np.mean(diff * diff))
+
+    def test_grid_mismatch_rejected(self):
+        a = random_curve(make_regular_grid(0, 10, 21), 1)
+        b = random_curve(make_regular_grid(0, 10, 31), 2)
+        for fn in (alignment_sign, imse):
+            with pytest.raises(DimensionError):
+                fn(a, b)
+
+
 class TestScoreMse:
     def test_identical_vectors(self):
         x = np.arange(5.0)
@@ -133,7 +166,59 @@ class TestAggregate:
             aggregate([a, b])
 
 
+def per_curve_reference(scenario, run_index, method):
+    """A run's metrics through the public one-component functions, one
+    eigenfunction Curve and one score column at a time."""
+    bundle = generate(scenario, run_index)
+    model = fit(bundle.sample, FitConfig(method=method, n_components=2, seed=scenario.seed))
+    imse_k, mse_k = np.empty(2), np.empty(2)
+    for k in range(2):
+        est, tru = model.eigenfunctions[k], bundle.true_eigenfunctions[k]
+        sign = alignment_sign(est, tru)
+        imse_k[k] = imse(est, tru)
+        mse_k[k] = score_mse(model.scores[:, k], bundle.true_scores[:, k], sign)
+    return imse_k, mse_k
+
+
 class TestEvaluateRun:
+    @pytest.mark.parametrize("case", [1, 2])
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    def test_array_scoring_matches_the_per_curve_reference(self, distribution, case):
+        scenario = SimulationScenario(
+            case=case, distribution=distribution, n_subjects=40, n_points=21, seed=8, runs=3
+        )
+        methods = ("kfpca", "cov")
+        together = run_scenario(scenario, methods, workers=1)
+        for method in methods:
+            for r in range(scenario.runs):
+                imse_k, mse_k = per_curve_reference(scenario, r, method)
+                for m in (together[method][r], evaluate_run(scenario, r, method)):
+                    assert m.imse.tobytes() == imse_k.tobytes()
+                    assert m.mse.tobytes() == mse_k.tobytes()
+
+    def test_run_scenario_builds_the_design_once(self, monkeypatch):
+        import kfpca.simgen
+
+        calls = {"grid": 0, "truth": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            kfpca.simgen, "make_regular_grid", counted("grid", kfpca.simgen.make_regular_grid)
+        )
+        monkeypatch.setattr(
+            kfpca.simgen, "true_eigenfunctions",
+            counted("truth", kfpca.simgen.true_eigenfunctions),
+        )
+        scenario = SimulationScenario(n_subjects=20, n_points=11, seed=9, runs=20)
+        out = run_scenario(scenario, ("kfpca", "cov"), workers=1)
+        assert calls == {"grid": 1, "truth": 1}
+        assert [len(out[m]) for m in ("kfpca", "cov")] == [20, 20]
+
     def test_produces_finite_metrics(self):
         scenario = SimulationScenario(n_subjects=40, n_points=21, seed=3, runs=2)
         metrics = evaluate_run(scenario, 0, "kfpca")
@@ -254,6 +339,28 @@ class TestConvergenceRate:
         scenario = SimulationScenario(n_points=21, seed=1)
         with pytest.raises(ConfigurationError, match="reps"):
             convergence_rate(scenario, (20, 40, 80), reps)
+
+    # 20.5 used to run as 20, and "20" was accepted
+    @pytest.mark.parametrize(
+        "sizes", [(20.5, 40, 80), ("20", 40, 80), (True, 40, 80), (20, 40.0, 80), (1, 40, 80)]
+    )
+    def test_each_size_must_be_an_integer_of_at_least_two(self, sizes, monkeypatch):
+        import kfpca.metrics
+
+        def fail(*args):
+            raise AssertionError("generate called")
+
+        monkeypatch.setattr(kfpca.metrics, "generate", fail)
+        with pytest.raises(ConfigurationError, match="sample size"):
+            convergence_rate(SimulationScenario(n_points=21, seed=1), sizes, 2)
+
+    def test_numpy_integer_sizes_accepted(self):
+        scenario = SimulationScenario(n_points=21, seed=6)
+        sizes = tuple(np.int64(n) for n in (20, 40, 80))
+        a = convergence_rate(scenario, sizes, reps=2)
+        b = convergence_rate(scenario, (20, 40, 80), reps=2)
+        assert a.sample_sizes == (20, 40, 80)
+        assert np.array_equal(a.sup_errors, b.sup_errors)
 
     def test_small_diagnostic_decays(self):
         scenario = SimulationScenario(n_points=21, seed=6)

@@ -201,6 +201,31 @@ class TestFit:
         back = load_model(path).config
         assert (back.seed, back.degenerate_tol) == (3, 0.0)
 
+    @pytest.mark.parametrize("field", ["presmooth", "eigen_smooth"])
+    @pytest.mark.parametrize("bad", ["no", "false", 1, 0, None, np.array([True])])
+    def test_smoothing_flags_must_be_bools(self, field, bad):
+        # "no" used to switch presmoothing on
+        with pytest.raises(ConfigurationError, match=field):
+            FitConfig(**{field: bad})
+
+    def test_numpy_bool_flags_stored_as_bool(self):
+        config = FitConfig(presmooth=np.bool_(True), eigen_smooth=np.False_)
+        assert config.presmooth is True and config.eigen_smooth is False
+
+    @pytest.mark.parametrize("field", ["presmooth_bandwidth", "eigen_bandwidth"])
+    @pytest.mark.parametrize(
+        "bad", [-1, -1.0, 0.0, "bogus", "1.0", float("nan"), True, np.bool_(True), None]
+    )
+    def test_bandwidth_must_be_auto_or_positive(self, field, bad):
+        with pytest.raises(ConfigurationError, match="bandwidth must be positive"):
+            FitConfig(**{field: bad})
+
+    def test_bandwidths_stored_as_float_or_auto(self):
+        config = FitConfig(presmooth_bandwidth=np.float32(0.5), eigen_bandwidth=2)
+        assert (config.presmooth_bandwidth, config.eigen_bandwidth) == (0.5, 2.0)
+        assert type(config.presmooth_bandwidth) is float is type(config.eigen_bandwidth)
+        assert FitConfig().presmooth_bandwidth == FitConfig().eigen_bandwidth == "auto"
+
     def test_invalid_method_config(self):
         with pytest.raises(ConfigurationError):
             FitConfig(method="pca")
@@ -325,6 +350,42 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             deserialize_model(json.loads(json.dumps(doc)))
         assert err.value.path == "config"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_components", 2.5),
+            ("n_components", 2.0),
+            ("presmooth", "false"),
+            ("eigen_smooth", 1),
+            ("presmooth_bandwidth", -1.0),
+            ("eigen_bandwidth", "bogus"),
+            ("degenerate_tol", "1e-12"),
+        ],
+    )
+    def test_saved_config_is_not_coerced(self, field, value):
+        # a saved n_components of 2.5 used to read back as 2, and a saved
+        # "false" flag as True
+        doc = serialize_model(fit(noisy_sample(seed=22), FitConfig(n_components=2)))
+        doc["config"][field] = value
+        with pytest.raises(ParseError) as err:
+            deserialize_model(json.loads(json.dumps(doc)))
+        assert err.value.path == "config"
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            FitConfig(n_components=2),
+            FitConfig(n_components=0.95),
+            FitConfig(n_components=2, presmooth=True, presmooth_bandwidth=0.4,
+                      eigen_smooth=True),
+        ],
+    )
+    def test_saved_config_round_trips(self, config):
+        doc = serialize_model(fit(noisy_sample(seed=23), config))
+        back = deserialize_model(json.loads(json.dumps(doc))).config
+        assert back == config
+        assert type(back.n_components) is type(config.n_components)
 
     def test_failed_write_keeps_old_file(self, tmp_path):
         path = tmp_path / "out.txt"

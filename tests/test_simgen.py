@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -194,8 +195,7 @@ class TestGenerate:
         # pooled variance of Y(t) across many runs matches
         # lam1 phi1(t)^2 + lam2 phi2(t)^2 + sigma2
         scenario = SimulationScenario(seed=12, runs=1000)
-        grid = scenario.grid()
-        phi1, phi2 = true_eigenfunctions(1, grid)
+        phi1, phi2 = true_eigenfunctions(1, generate(scenario, 0).sample.grid)
         expected = 16.0 * phi1.values**2 + 9.0 * phi2.values**2 + 0.25
         pooled = np.vstack(
             [generate(scenario, run).sample.values for run in range(1000)]
@@ -225,6 +225,26 @@ class TestGenerate:
         assert abs(np.corrcoef(scores.T)[0, 1]) < 3.0 / np.sqrt(100_000) * 2.5
         assert abs(scores[:, 0].var() / 16.0 - 1.0) < 0.05
         assert abs(scores[:, 1].var() / 9.0 - 1.0) < 0.05
+
+    def test_runs_of_one_scenario_share_one_read_only_design(self):
+        scenario = SimulationScenario(case=2, distribution="skew_t", seed=16, runs=3)
+        a, b = generate(scenario, 0), generate(scenario, 2)
+        assert a.sample.grid is b.sample.grid
+        assert a.true_eigenfunctions[0].grid is a.sample.grid
+        assert all(x is y for x, y in zip(a.true_eigenfunctions, b.true_eigenfunctions))
+        arrays = [a.sample.grid.points, a.sample.grid.weights]
+        arrays += [c.values for c in a.true_eigenfunctions]
+        assert not any(x.flags.writeable for x in arrays)
+
+    def test_pickled_scenario_builds_its_own_read_only_design(self):
+        scenario = SimulationScenario(seed=17, runs=2)
+        before = generate(scenario, 1)
+        copy = pickle.loads(pickle.dumps(scenario))
+        after = generate(copy, 1)
+        assert copy == scenario
+        assert after.sample.grid is not before.sample.grid
+        assert not after.sample.grid.points.flags.writeable
+        assert np.array_equal(after.sample.values, before.sample.values)
 
     def test_run_index_validated(self):
         scenario = SimulationScenario(runs=5)
@@ -289,6 +309,16 @@ class TestGenerate:
     def test_scenario_doc_round_trip(self):
         scenario = SimulationScenario(case=2, distribution="ec2", seed=9)
         assert scenario_from_doc(scenario_to_doc(scenario)) == scenario
+
+    @pytest.mark.parametrize(
+        "field, value", [("runs", 2.5), ("case", "1"), ("n_points", 51.0), ("seed", True)]
+    )
+    def test_scenario_doc_is_not_coerced(self, field, value):
+        # a saved runs of 2.5 used to read back as 2
+        doc = scenario_to_doc(SimulationScenario())
+        doc[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            scenario_from_doc(doc)
 
     def test_scenario_doc_missing_field(self):
         doc = scenario_to_doc(SimulationScenario())
