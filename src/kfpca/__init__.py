@@ -13,7 +13,6 @@ from .eigen import eigen_decompose, project_scores
 from .errors import (
     ConfigurationError,
     DimensionError,
-    DomainError,
     EstimationError,
     InputError,
     KfpcaError,
@@ -53,7 +52,6 @@ from .simgen import (
     TruthBundle,
     draw_scores,
     generate,
-    solve_skew_t_params,
     true_eigenfunctions,
 )
 
@@ -64,7 +62,6 @@ __all__ = [
     "Curve",
     "DimensionError",
     "DiscretizedKernel",
-    "DomainError",
     "EstimationError",
     "FitConfig",
     "FpcaModel",
@@ -102,6 +99,5 @@ __all__ = [
     "save_model",
     "score_mse",
     "serialize_model",
-    "solve_skew_t_params",
     "true_eigenfunctions",
 ]

@@ -4,8 +4,8 @@ Subcommands: ``fit`` (model a CSV dataset), ``simulate`` (reproduce a
 Monte Carlo table row), ``mean-band`` (bootstrap band for the mean curve),
 and ``rate`` (sup-norm convergence diagnostic).  Exit codes: 0 success,
 2 bad input or configuration, 3 numerical/fit failure.  ``main`` alone
-maps an error to its code, by its class: EstimationError and DomainError
-exit 3; every other KfpcaError, and an OSError from reading or writing a
+maps an error to its code, by its class: an EstimationError exits 3;
+every other KfpcaError, and an OSError from reading or writing a
 user path, exits 2.  Output files are written to a temporary path and
 renamed on success.
 """
@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .core import FunctionalSample, Grid
-from .errors import ConfigurationError, DomainError, EstimationError, KfpcaError, ParseError
+from .errors import ConfigurationError, EstimationError, KfpcaError, ParseError
 from .estimators import bootstrap_mean_band
 from .metrics import METRIC_NAMES, aggregate, convergence_rate, run_scenario
 from .model import METHODS, FitConfig, atomic_write, fit, save_model
@@ -268,8 +268,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (KfpcaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        numeric = isinstance(exc, (EstimationError, DomainError))
-        return EXIT_NUMERIC if numeric else EXIT_INPUT
+        return EXIT_NUMERIC if isinstance(exc, EstimationError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

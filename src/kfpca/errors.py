@@ -7,8 +7,8 @@ command line maps the class of the error to its exit code (``cli.main``).
 
 class KfpcaError(Exception):
     """Base class for all package errors.  The command line exits 3 on
-    EstimationError and DomainError (numerical failure) and 2 on every
-    other subclass (bad input or configuration)."""
+    EstimationError (numerical failure) and 2 on every other subclass (bad
+    input or configuration)."""
 
 
 class ConfigurationError(KfpcaError):
@@ -25,10 +25,6 @@ class DimensionError(InputError):
 
 class EstimationError(KfpcaError):
     """An estimator could not produce a result (degeneracy, non-convergence)."""
-
-
-class DomainError(KfpcaError):
-    """A requested target lies outside the feasible region of a family."""
 
 
 class ParseError(KfpcaError):

@@ -10,6 +10,7 @@ The fitted object serializes to a single JSON document.
 """
 
 import json
+import numbers
 import os
 import tempfile
 from dataclasses import asdict, dataclass, fields
@@ -41,11 +42,12 @@ SCHEMA_VERSION = "1"
 class FitConfig:
     """Options controlling a fit.
 
-    ``n_components`` is either an integer count or a float in (0, 1) read
+    ``n_components`` is either an integer count or a real in (0, 1) read
     as a fraction-of-variance-explained threshold on the decomposed
-    spectrum.  The two flags are bools (a numpy bool is stored as one), and
-    each bandwidth is "auto" or a positive number.  ``seed`` is carried
-    along for downstream resampling only; the fit itself is deterministic.
+    spectrum, stored as a Python int or float.  The two flags are bools (a
+    numpy bool is stored as one), and each bandwidth is "auto" or a positive
+    number.  ``seed`` is carried along for downstream resampling only; the
+    fit itself is deterministic.
     """
 
     method: str = KFPCA
@@ -63,10 +65,12 @@ class FitConfig:
                 f"method must be one of {METHODS}, got {self.method!r}"
             )
         n = self.n_components
-        if isinstance(n, bool) or not (
-            (isinstance(n, int) and n >= 1)
-            or (isinstance(n, float) and 0.0 < n < 1.0)
-        ):
+        count = isinstance(n, numbers.Integral) and not isinstance(n, bool)
+        if count and n >= 1:
+            n = int(n)
+        elif not count and isinstance(n, numbers.Real) and 0.0 < n < 1.0:
+            n = float(n)
+        else:
             raise ConfigurationError(
                 "n_components must be a count >= 1 or a threshold in (0, 1)"
             )
@@ -80,6 +84,7 @@ class FitConfig:
         for name in ("presmooth_bandwidth", "eigen_bandwidth"):
             object.__setattr__(self, name, _check_bandwidth(name, getattr(self, name)))
         # numpy scalars pass the checks but not json.dumps in save_model
+        object.__setattr__(self, "n_components", n)
         object.__setattr__(self, "degenerate_tol", float(self.degenerate_tol))
         object.__setattr__(self, "seed", int(self.seed))
 

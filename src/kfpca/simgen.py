@@ -6,7 +6,8 @@ mu = 0 on [0, 10], component variances (16, 9), and Gaussian measurement
 noise.  Four score laws are supported: gaussian, a symmetric two-point
 Gaussian mixture, a heavy-tailed elliptical construction with an
 exponential radial shared within a subject, and a skewed heavy-tailed
-skew-t calibrated to skewness 1.5 and excess kurtosis 5.1.
+skew-t calibrated to skewness 1.5 and excess kurtosis 5.1, whose solved
+shape and standardizing moments are frozen as the ``SKEW_T_*`` constants.
 """
 
 import functools
@@ -14,7 +15,6 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy import optimize, special
 
 from .core import (
     Curve,
@@ -25,7 +25,7 @@ from .core import (
     derive_rng,
     make_regular_grid,
 )
-from .errors import ConfigurationError, DomainError, EstimationError, InputError
+from .errors import ConfigurationError, InputError
 
 DISTRIBUTIONS = ("gaussian", "mix_gaussian", "ec2", "skew_t")
 CASES = (1, 2)
@@ -33,28 +33,18 @@ CASES = (1, 2)
 DOMAIN_START = 0.0
 DOMAIN_END = 10.0
 
-TARGET_SKEWNESS = 1.5
-TARGET_EXCESS_KURTOSIS = 5.1
-
-# Moment-matched skew-t shape parameters for the targets above, frozen
-# after verification against quadrature and 1e7-draw sampling oracles
-# (see solve_skew_t_params and the test suite).
+# Moment-matched shape of the unit skew-t with skewness 1.5 and excess
+# kurtosis 5.1, and the mean and variance that standardize each skew-t score
+# draw.  Frozen; tests/skew_t_oracle.py re-solves them from the moment
+# formulas and the test suite checks them against it and against sampling.
 SKEW_T_SLANT = 3.6733057106176057
 SKEW_T_DF = 7.179676983235534
-# skew_t_shape_moments(SKEW_T_SLANT, SKEW_T_DF)[:2], the mean and variance
-# that standardize each skew-t score draw
 SKEW_T_MEAN = 0.8639328002648946
 SKEW_T_VAR = 0.6397445808494527
 
 # purpose tags for derive_rng streams
 _SCORE_STREAM = 0
 _NOISE_STREAM = 1
-
-_DF_MAX = 1e6
-_DELTA_MAX = 1.0 - 1e-12
-# kurtosis gap accepted when a target is only reachable in the df -> inf
-# limit (e.g. the Gaussian corner of the family)
-_BOUNDARY_KURTOSIS_GAP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -81,15 +71,19 @@ class SimulationScenario:
                 + ", ".join(DISTRIBUTIONS)
             )
         _check_non_negative("sigma2", self.sigma2)
-        if len(self.lambdas) != 2:
+        try:
+            lambdas = tuple(self.lambdas)
+        except TypeError:  # a scalar or None
+            lambdas = ()
+        if len(lambdas) != 2:
             raise ConfigurationError("lambdas must be two non-negative variances")
-        for value in self.lambdas:
+        for value in lambdas:
             _check_non_negative("each of lambdas", value)
         # numpy scalars pass the checks but not json.dumps of scenario_to_doc
         for name in ("case", "n_subjects", "n_points", "runs", "seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "sigma2", float(self.sigma2))
-        object.__setattr__(self, "lambdas", tuple(float(l) for l in self.lambdas))
+        object.__setattr__(self, "lambdas", tuple(float(l) for l in lambdas))
 
     @functools.cached_property
     def _design(self) -> tuple[Grid, tuple[Curve, Curve], np.ndarray]:
@@ -135,130 +129,6 @@ def true_eigenfunctions(case: int, grid: Grid) -> tuple[Curve, Curve]:
     angle = np.pi * t / (10.0 if case == 1 else 5.0)
     first, second = (np.cos, np.sin) if case == 1 else (np.sin, np.cos)
     return Curve(grid, first(angle) / root5), Curve(grid, second(angle) / root5)
-
-
-def _skew_t_b(df: float) -> float:
-    return math.sqrt(df / math.pi) * math.exp(
-        special.gammaln((df - 1.0) / 2.0) - special.gammaln(df / 2.0)
-    )
-
-
-def skew_t_shape_moments(slant: float, df: float) -> tuple[float, float, float, float]:
-    """Mean, variance, skewness, and excess kurtosis of the unit skew-t.
-
-    Standard moment formulas of the (location 0, scale 1) skew-t family;
-    kurtosis requires df > 4.
-    """
-    if df <= 4:
-        raise DomainError("moments require df > 4")
-    delta = slant / math.sqrt(1.0 + slant * slant)
-    return _moments_from_delta(delta, df)
-
-
-def _moments_from_delta(delta: float, df: float):
-    b = _skew_t_b(df)
-    mu = b * delta
-    m2 = df / (df - 2.0)
-    var = m2 - mu * mu
-    skew = (
-        mu
-        * (df * (3.0 - delta * delta) / (df - 3.0) - 3.0 * m2 + 2.0 * mu * mu)
-        / var**1.5
-    )
-    exkurt = (
-        3.0 * df * df / ((df - 2.0) * (df - 4.0))
-        - 4.0 * mu * mu * df * (3.0 - delta * delta) / (df - 3.0)
-        + 6.0 * mu * mu * m2
-        - 3.0 * mu**4
-    ) / var**2 - 3.0
-    return mu, var, skew, exkurt
-
-
-def _delta_for_skewness(target: float, df: float) -> float | None:
-    """Delta in [0, 1) matching a non-negative skewness target at fixed df,
-    or None when the target exceeds the family's reach at that df."""
-    if target == 0.0:
-        return 0.0
-    top = _moments_from_delta(_DELTA_MAX, df)[2]
-    if top < target:
-        return None
-    return optimize.brentq(
-        lambda dl: _moments_from_delta(dl, df)[2] - target,
-        0.0,
-        _DELTA_MAX,
-        xtol=1e-15,
-    )
-
-
-def solve_skew_t_params(
-    target_skewness: float, target_excess_kurtosis: float
-) -> tuple[float, float]:
-    """Solve for (slant, df) matching skewness and excess kurtosis.
-
-    Nested bisection: for each df the slant is solved from the skewness
-    equation, then df is solved from the kurtosis equation.  Targets only
-    reachable in the df -> infinity limit (the Gaussian corner) return the
-    capped df with the skewness still matched exactly.
-
-    Returns
-    -------
-    (slant, df)
-        Shape parameters with moment residuals below 1e-8 (skewness
-        always; kurtosis except at the df cap).
-
-    Raises
-    ------
-    DomainError
-        Targets outside the family's feasible region.
-    EstimationError
-        Root polishing failed to reach the residual tolerance.
-    """
-    sign = 1.0 if target_skewness >= 0 else -1.0
-    skew = abs(target_skewness)
-
-    def kurt_gap(df):
-        delta = _delta_for_skewness(skew, df)
-        if delta is None:
-            return None
-        return _moments_from_delta(delta, df)[3] - target_excess_kurtosis
-
-    grid = np.exp(np.linspace(np.log(4.0 + 1e-6), np.log(_DF_MAX), 300))
-    gaps = [kurt_gap(df) for df in grid]
-    feasible = [i for i, g in enumerate(gaps) if g is not None]
-    if not feasible:
-        raise DomainError(
-            f"skewness {target_skewness} is outside the skew-t family's range "
-            "for df > 4 (finite kurtosis)"
-        )
-
-    crossing = None
-    for i, j in zip(feasible[:-1], feasible[1:]):
-        if j == i + 1 and gaps[i] * gaps[j] <= 0:
-            crossing = (grid[i], grid[j])
-            break
-
-    if crossing is None:
-        tail_gap = gaps[feasible[-1]]
-        at_cap = feasible[-1] == len(grid) - 1
-        if at_cap and abs(tail_gap) <= _BOUNDARY_KURTOSIS_GAP:
-            df = float(grid[-1])
-            delta = _delta_for_skewness(skew, df)
-            return sign * delta / math.sqrt(1.0 - delta * delta), df
-        raise DomainError(
-            f"targets (skewness {target_skewness}, excess kurtosis "
-            f"{target_excess_kurtosis}) are infeasible for the skew-t family; "
-            "higher skewness requires heavier tails (larger excess kurtosis)"
-        )
-
-    df = optimize.brentq(kurt_gap, crossing[0], crossing[1], xtol=1e-12)
-    delta = _delta_for_skewness(skew, df)
-    _, _, got_skew, got_kurt = _moments_from_delta(delta, df)
-    if (
-        abs(got_skew - skew) > 1e-8
-        or abs(got_kurt - target_excess_kurtosis) > 1e-8
-    ):
-        raise EstimationError("skew-t moment solve did not converge")
-    return sign * delta / math.sqrt(1.0 - delta * delta), float(df)
 
 
 def _standard_skew_t(n: int, rng: np.random.Generator, slant: float, df: float):

@@ -27,10 +27,9 @@ from kfpca import (
     make_regular_grid,
     reconstruct,
     serialize_model,
-    solve_skew_t_params,
 )
 from kfpca.cli import main
-from kfpca.simgen import skew_t_shape_moments
+from skew_t_oracle import skew_t_shape_moments, solve_skew_t_params
 
 
 def report(criterion, ok, detail):

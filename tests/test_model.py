@@ -183,7 +183,7 @@ class TestFit:
         assert np.array_equal(model.operator_eigenvalues, kernel.eigenvalues[:k])
         assert np.array_equal(model.scores, project_scores(sample, mean_hat(sample), phi))
 
-    @pytest.mark.parametrize("bad", [0, -1, 0.0, 1.0, -0.5])
+    @pytest.mark.parametrize("bad", [0, -1, 0.0, 1.0, -0.5, True, 2.0, 2.5, np.int64(0)])
     def test_invalid_n_components_config(self, bad):
         with pytest.raises(ConfigurationError):
             FitConfig(n_components=bad)
@@ -200,6 +200,18 @@ class TestFit:
         save_model(fit(noisy_sample(n=20, seed=16), config), path)
         back = load_model(path).config
         assert (back.seed, back.degenerate_tol) == (3, 0.0)
+
+    def test_numpy_n_components_stored_as_python_number(self, tmp_path):
+        sample = noisy_sample(n=20, seed=16)
+        model = fit(sample, FitConfig(n_components=np.int64(2)))
+        assert type(model.config.n_components) is int
+        assert serialize_model(model) == serialize_model(fit(sample, FitConfig(n_components=2)))
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        assert serialize_model(load_model(path)) == serialize_model(model)
+        for threshold in (np.float32(0.9), np.float64(0.9)):
+            stored = FitConfig(n_components=threshold).n_components
+            assert type(stored) is float and stored == float(threshold)
 
     @pytest.mark.parametrize("field", ["presmooth", "eigen_smooth"])
     @pytest.mark.parametrize("bad", ["no", "false", 1, 0, None, np.array([True])])
