@@ -3,7 +3,9 @@
 Eigenfunctions are sign-indeterminate, so every comparison against truth
 first aligns signs; the same sign flips the matching score column, keeping
 eigenfunction and score errors consistent.  A Monte Carlo run generates its
-dataset once and every method is fitted and scored on that one dataset.
+dataset once and every method is fitted and scored on that one dataset, as
+arrays: the run scores the fit's K x d eigenfunction array and N x K score
+matrix and builds no model.
 """
 
 import dataclasses
@@ -17,7 +19,7 @@ import numpy as np
 from .core import Curve, _check_count, _require_same_grid, _weighted_dots
 from .errors import ConfigurationError, InputError
 from .estimators import kendall_tau_hat
-from .model import FitConfig, fit
+from .model import METHODS, FitConfig, _fit_arrays
 from .simgen import SimulationScenario, generate
 
 METRIC_NAMES = ("imse1", "imse2", "mse1", "mse2")
@@ -110,11 +112,16 @@ def score_mse(estimated: np.ndarray, truth: np.ndarray, eigenfunction_sign: floa
     return float(_score_mses(est.reshape(-1, 1), tru.reshape(-1, 1), eigenfunction_sign)[0])
 
 
-def _fit_configs(scenario: SimulationScenario, methods) -> tuple[FitConfig, ...]:
-    """The two-component fit of each method, as every run uses it."""
-    return tuple(
-        FitConfig(method=m, n_components=2, seed=scenario.seed) for m in methods
-    )
+# the two-component fit every Monte Carlo run makes; a fit never reads the seed
+_RUN_CONFIGS = {m: FitConfig(method=m, n_components=2) for m in METHODS}
+
+
+def _fit_configs(methods) -> tuple[FitConfig, ...]:
+    """The run config of each method, in order."""
+    for m in methods:
+        if m not in METHODS:
+            raise ConfigurationError(f"method must be one of {METHODS}, got {m!r}")
+    return tuple(_RUN_CONFIGS[m] for m in methods)
 
 
 def _evaluate(
@@ -126,10 +133,9 @@ def _evaluate(
     truth = scenario._design[2]  # the bundle's truth curves, stacked once
     out = []
     for config in configs:
-        model = fit(bundle.sample, config)
-        est = np.stack([c.values for c in model.eigenfunctions])
-        signs, imses = _aligned_imses(est, truth, weights)
-        mses = _score_mses(model.scores, bundle.true_scores, signs)
+        run = _fit_arrays(bundle.sample, config)
+        signs, imses = _aligned_imses(run.phi, truth, weights)
+        mses = _score_mses(run.scores, bundle.true_scores, signs)
         out.append(RunMetrics(imses, mses, run_index, scenario, config.method))
     return out
 
@@ -139,7 +145,7 @@ def evaluate_run(
 ) -> RunMetrics:
     """Generate one run, fit one method with two components, and score it
     against the known truth."""
-    return _evaluate(scenario, run_index, _fit_configs(scenario, (method,)))[0]
+    return _evaluate(scenario, run_index, _fit_configs((method,)))[0]
 
 
 def default_workers() -> int:
@@ -172,7 +178,7 @@ def run_scenario(
     explicit ``workers`` that is not an integer >= 1, raises
     ConfigurationError before any data is generated.
     """
-    configs = _fit_configs(scenario, methods)
+    configs = _fit_configs(methods)
     if not configs:
         raise ConfigurationError("methods must name at least one method")
     if workers is None:

@@ -4,8 +4,10 @@ A fit runs each stage once, on arrays: optional pre-smoothing (a GCV
 bandwidth per curve), mean estimation, a kernel estimate (pairwise sign-based
 or sample covariance) with its one weighted eigensolve, the cut at K
 components, the K x d array of kept eigenfunctions (optionally smoothed),
-score projection, and per-component score variances.  The K eigenfunction
-``Curve`` objects are built once, for the model.
+score projection, and per-component score variances.  ``_fit_arrays`` runs
+those stages and returns arrays; ``fit`` wraps them into an ``FpcaModel``,
+building the K eigenfunction ``Curve`` objects once, while a Monte Carlo
+run scores the arrays and builds no model.
 The fitted object serializes to a single JSON document.
 """
 
@@ -14,6 +16,7 @@ import numbers
 import os
 import tempfile
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,23 +163,20 @@ def _select_k(eigenvalues: np.ndarray, n_components: int | float) -> int:
     return int(hits[0]) + 1
 
 
-def fit(sample: FunctionalSample, config: FitConfig) -> FpcaModel:
-    """Fit a functional PCA model to a dense sample.
+class _FitArrays(NamedTuple):
+    """One fit as arrays, before any model is built."""
 
-    Parameters
-    ----------
-    sample : FunctionalSample
-        At least 3 curves on at least 4 grid points.
-    config : FitConfig
-        Method and options; see FitConfig.
+    grid: Grid
+    mean: Curve
+    phi: np.ndarray  # K x d, row k holds phi_k on the grid
+    eigenvalues: np.ndarray  # the K kept operator eigenvalues
+    scores: np.ndarray  # N x K
+    remainder: float  # spectrum mass beyond the kept components
 
-    Returns
-    -------
-    FpcaModel
-        Mean, eigenfunctions, operator eigenvalues, score matrix, and
-        per-component score variances (divisor N - 1), ordered by the
-        decomposed spectrum.
-    """
+
+def _fit_arrays(sample: FunctionalSample, config: FitConfig) -> _FitArrays:
+    """Each stage of a fit once, on arrays; ``fit`` wraps the result into a
+    model and a Monte Carlo run scores it directly."""
     if sample.n_subjects < 3:
         raise InputError("fit needs at least 3 curves")
     if sample.grid.size < 4:
@@ -199,26 +199,51 @@ def fit(sample: FunctionalSample, config: FitConfig) -> FpcaModel:
         kernel, k, smooth=config.eigen_smooth, bandwidth=config.eigen_bandwidth
     )
     scores = project_scores(sample, mean, phi)
+    ev = kernel.eigenvalues
+    return _FitArrays(sample.grid, mean, phi, ev[:k], scores, float(ev[k:].sum()))
+
+
+def fit(sample: FunctionalSample, config: FitConfig) -> FpcaModel:
+    """Fit a functional PCA model to a dense sample.
+
+    Parameters
+    ----------
+    sample : FunctionalSample
+        At least 3 curves on at least 4 grid points.
+    config : FitConfig
+        Method and options; see FitConfig.
+
+    Returns
+    -------
+    FpcaModel
+        Mean, eigenfunctions, operator eigenvalues, score matrix, and
+        per-component score variances (divisor N - 1), ordered by the
+        decomposed spectrum.
+    """
+    run = _fit_arrays(sample, config)
     return FpcaModel(
-        grid=sample.grid,
-        mean=mean,
-        eigenfunctions=tuple(Curve(sample.grid, row) for row in phi),
-        operator_eigenvalues=kernel.eigenvalues[:k],
-        component_variances=scores.var(axis=0, ddof=1),
-        scores=scores,
+        grid=run.grid,
+        mean=run.mean,
+        eigenfunctions=tuple(Curve(run.grid, row) for row in run.phi),
+        operator_eigenvalues=run.eigenvalues,
+        component_variances=run.scores.var(axis=0, ddof=1),
+        scores=run.scores,
         method=config.method,
         config=config,
-        _spectrum_remainder=float(kernel.eigenvalues[k:].sum()),
+        _spectrum_remainder=run.remainder,
     )
 
 
 def reconstruct(model: FpcaModel, subject: int, n_components: int) -> Curve:
     """Truncated expansion mean + sum_k score_ik phi_k for one subject."""
+    if isinstance(subject, bool) or not isinstance(subject, numbers.Integral):
+        raise InputError(f"subject index must be an integer, got {subject!r}")
     if not 0 <= subject < model.n_subjects:
         raise InputError(
             f"subject index {subject} out of range [0, {model.n_subjects})"
         )
-    if not 0 <= n_components <= model.n_components:
+    _check_count("reconstruction order", n_components, 0)
+    if n_components > model.n_components:
         raise ConfigurationError(
             f"reconstruction order must lie in [0, {model.n_components}]"
         )

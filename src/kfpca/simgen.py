@@ -12,6 +12,7 @@ shape and standardizing moments are frozen as the ``SKEW_T_*`` constants.
 
 import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -164,8 +165,13 @@ def draw_scores(
             f"unknown distribution {distribution!r}; valid: "
             + ", ".join(DISTRIBUTIONS)
         )
-    if lambda_k <= 0:
-        raise ConfigurationError(f"lambda_k must be positive, got {lambda_k}")
+    if isinstance(lambda_k, bool) or not (
+        isinstance(lambda_k, numbers.Real) and 0.0 < lambda_k < math.inf
+    ):
+        raise ConfigurationError(
+            f"lambda_k must be a finite positive number, got {lambda_k!r}"
+        )
+    _check_count("n", n, 0)
     if distribution == "gaussian":
         return rng.normal(0.0, math.sqrt(lambda_k), n)
     if distribution == "mix_gaussian":

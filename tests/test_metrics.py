@@ -184,6 +184,8 @@ class TestEvaluateRun:
     @pytest.mark.parametrize("case", [1, 2])
     @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
     def test_array_scoring_matches_the_per_curve_reference(self, distribution, case):
+        # the runs score the array fit core and the reference scores the
+        # public fit's model, so the two fit layers cannot drift apart
         scenario = SimulationScenario(
             case=case, distribution=distribution, n_subjects=40, n_points=21, seed=8, runs=3
         )
@@ -217,6 +219,27 @@ class TestEvaluateRun:
         scenario = SimulationScenario(n_subjects=20, n_points=11, seed=9, runs=20)
         out = run_scenario(scenario, ("kfpca", "cov"), workers=1)
         assert calls == {"grid": 1, "truth": 1}
+        assert [len(out[m]) for m in ("kfpca", "cov")] == [20, 20]
+
+    def test_run_scenario_builds_no_model(self, monkeypatch):
+        import kfpca.core
+        import kfpca.model
+
+        built = {"model": 0, "curve": 0}
+
+        def counted(name, real):
+            def wrapper(self):
+                built[name] += 1
+                return real(self)
+            return wrapper
+
+        scenario = SimulationScenario(n_subjects=20, n_points=11, seed=9, runs=20)
+        scenario._design  # the truth curves, built once before counting
+        for name, cls in (("model", kfpca.model.FpcaModel), ("curve", kfpca.core.Curve)):
+            monkeypatch.setattr(cls, "__post_init__", counted(name, cls.__post_init__))
+        out = run_scenario(scenario, ("kfpca", "cov"), workers=1)
+        # one Curve per fit, its mean; no eigenfunction Curve and no model
+        assert built == {"model": 0, "curve": 2 * scenario.runs}
         assert [len(out[m]) for m in ("kfpca", "cov")] == [20, 20]
 
     def test_produces_finite_metrics(self):

@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kfpca import (
     ConfigurationError,
@@ -250,6 +252,40 @@ class TestFit:
             FitConfig(degenerate_tol=bad)
 
 
+@st.composite
+def permuted_samples(draw):
+    """Gaussian curves, N in [5, 40] and d in [4, 30], with a permutation
+    of their rows."""
+    n = draw(st.integers(5, 40))
+    d = draw(st.integers(4, 30))
+    values = derive_rng(draw(st.integers(0, 2**32 - 1)), 0).standard_normal((n, d))
+    perm = draw(st.permutations(range(n)))
+    return FunctionalSample(make_regular_grid(0, 1, d), values), perm
+
+
+class TestSubjectOrder:
+    @pytest.mark.parametrize("method", ["kfpca", "cov"])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(drawn=permuted_samples())
+    def test_fit_is_invariant_to_subject_order(self, method, drawn):
+        sample, perm = drawn
+        estimate = kendall_tau_hat if method == "kfpca" else covariance_hat
+        ev = estimate(sample).eigenvalues[:3]
+        # rounding moves an eigenvector by about 3e-16 / (relative gap)
+        # (2.2e-13 measured at a gap of 1.3e-3), so this gap keeps the
+        # eigenfunctions inside 1e-12
+        assume(np.all(-np.diff(ev) >= 1e-3 * ev[:2]))
+        config = FitConfig(method=method, n_components=2)
+        a = fit(sample, config)
+        b = fit(FunctionalSample(sample.grid, sample.values[list(perm)]), config)
+        phi_a, phi_b = (np.stack([c.values for c in m.eigenfunctions]) for m in (a, b))
+        ev_a = a.operator_eigenvalues
+        assert np.abs(b.operator_eigenvalues - ev_a).max() <= 1e-12 * ev_a[0]
+        assert np.abs(phi_b - phi_a).max() <= 1e-12 * np.abs(phi_a).max()
+        scores = a.scores[list(perm)]
+        assert np.abs(b.scores - scores).max() <= 1e-12 * np.abs(scores).max()
+
+
 class TestReconstruct:
     def test_zero_components_returns_mean(self):
         model = fit(noisy_sample(seed=10), FitConfig(n_components=2))
@@ -278,6 +314,24 @@ class TestReconstruct:
             reconstruct(model, 10, 1)
         with pytest.raises(ConfigurationError):
             reconstruct(model, 0, 3)
+
+    @pytest.mark.parametrize("subject", [1.5, "1", None, True, np.float64(1)], ids=repr)
+    def test_non_integer_subject_rejected(self, subject):
+        model = fit(noisy_sample(n=10, seed=12), FitConfig(n_components=2))
+        with pytest.raises(InputError, match="subject index must be an integer"):
+            reconstruct(model, subject, 1)
+
+    @pytest.mark.parametrize("order", [1.5, "1", None, True, np.float64(1)], ids=repr)
+    def test_non_integer_order_rejected(self, order):
+        model = fit(noisy_sample(n=10, seed=12), FitConfig(n_components=2))
+        with pytest.raises(ConfigurationError, match="reconstruction order"):
+            reconstruct(model, 1, order)
+
+    def test_numpy_integer_arguments_accepted(self):
+        model = fit(noisy_sample(n=10, seed=12), FitConfig(n_components=2))
+        plain = reconstruct(model, 3, 2)
+        numpy = reconstruct(model, np.int64(3), np.int32(2))
+        assert np.array_equal(plain.values, numpy.values)
 
 
 class TestSerialization:

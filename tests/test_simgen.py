@@ -17,6 +17,7 @@ from kfpca import (
     true_eigenfunctions,
 )
 from kfpca.simgen import (
+    DISTRIBUTIONS,
     SKEW_T_DF,
     SKEW_T_MEAN,
     SKEW_T_SLANT,
@@ -118,6 +119,23 @@ class TestDrawScores:
     def test_nonpositive_variance_rejected(self, lam):
         with pytest.raises(ConfigurationError):
             draw_scores("gaussian", lam, 10, derive_rng(6, 0))
+
+    @pytest.mark.parametrize(
+        "lam", [float("nan"), float("inf"), "1", True, None], ids=repr
+    )
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    def test_non_finite_or_non_real_variance_rejected(self, distribution, lam):
+        with pytest.raises(ConfigurationError, match="lambda_k"):
+            draw_scores(distribution, lam, 10, derive_rng(6, 0))
+
+    @pytest.mark.parametrize("n", [2.5, -1, True, "3", None], ids=repr)
+    def test_non_count_size_rejected(self, n):
+        with pytest.raises(ConfigurationError, match="n must be an integer >= 0"):
+            draw_scores("gaussian", 1.0, n, derive_rng(6, 0))
+
+    def test_zero_and_numpy_sizes_accepted(self):
+        assert draw_scores("skew_t", 1.0, 0, derive_rng(6, 0)).shape == (0,)
+        assert draw_scores("ec2", 1.0, np.int64(3), derive_rng(6, 0)).shape == (3,)
 
     def test_unknown_distribution_rejected(self):
         with pytest.raises(ConfigurationError):
