@@ -21,7 +21,7 @@ from .errors import ConfigurationError, EstimationError, KfpcaError, ParseError
 from .estimators import bootstrap_mean_band
 from .metrics import METRIC_NAMES, aggregate, convergence_rate, run_scenario
 from .model import METHODS, FitConfig, atomic_write, fit, save_model
-from .simgen import SimulationScenario
+from .simgen import CASES, SimulationScenario
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -57,7 +57,7 @@ def _parse_dataset(path, rows) -> FunctionalSample:
                 )
 
     try:
-        grid = Grid.from_points(list(parse_row(header, 1)))
+        grid = Grid(list(parse_row(header, 1)))
     except ConfigurationError as exc:
         raise ParseError(f"{path}: bad grid header: {exc}", path=str(path))
     d = grid.size
@@ -125,7 +125,6 @@ def cmd_fit(args) -> int:
         presmooth_bandwidth=_parse_bandwidth(args.presmooth_bandwidth),
         eigen_smooth=args.eigen_smooth,
         eigen_bandwidth=_parse_bandwidth(args.eigen_bandwidth),
-        seed=args.seed,
     )
     model = fit(sample, config)
     save_model(model, args.out)
@@ -216,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit a model to a dataset CSV")
     p_fit.add_argument("input", help="dataset CSV (header = grid times)")
-    p_fit.add_argument("--method", choices=METHODS, default="kfpca")
+    p_fit.add_argument("--method", default="kfpca", help="one of: " + ", ".join(METHODS))
     p_fit.add_argument(
         "--ncomp", default="0.95",
         help="component count, or a fraction in (0,1) for FVE selection",
@@ -225,12 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--presmooth-bandwidth", default="auto")
     p_fit.add_argument("--eigen-smooth", action="store_true")
     p_fit.add_argument("--eigen-bandwidth", default="auto")
-    p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--out", required=True, help="model JSON output path")
     p_fit.set_defaults(handler=cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo scenario")
-    p_sim.add_argument("--case", type=int, choices=(1, 2), default=1)
+    p_sim.add_argument(
+        "--case", type=int, default=1, help="one of: " + ", ".join(map(str, CASES))
+    )
     p_sim.add_argument("--dist", default="gaussian")
     p_sim.add_argument("--n", type=int, default=100, help="subjects per run")
     p_sim.add_argument("--grid", type=int, default=51, help="grid points")

@@ -1,13 +1,14 @@
 """Grids, curves, quadrature, and local-linear smoothing.
 
 Everything downstream works on curves observed at a common set of time
-points.  Integrals are trapezoid sums with per-point quadrature weights, so
-an inner product is a single weighted dot product and is exact whenever the
-integrand is piecewise linear between grid points.
+points.  Integrals are trapezoid sums with per-point quadrature weights,
+which a grid derives from its points alone, so an inner product is a single
+weighted dot product and is exact whenever the integrand is piecewise
+linear between grid points.
 """
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,8 +17,13 @@ from .errors import ConfigurationError, DimensionError, EstimationError, InputEr
 GCV_CANDIDATE_COUNT = 20
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    """A read-only copy of ``values``; InputError if they are not a
+    rectangular array of numbers."""
+    try:
+        out = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"values are not a rectangular array of numbers: {exc}") from None
     out.setflags(write=False)
     return out
 
@@ -27,6 +33,15 @@ def _check_count(name: str, value, minimum: int) -> None:
     at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_index(name: str, value, size: int) -> None:
+    """Raise InputError unless ``value`` is an integer (not a bool) in
+    [0, size)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if not 0 <= value < size:
+        raise InputError(f"{name} {value} out of range [0, {size})")
 
 
 def _check_non_negative(name: str, value) -> None:
@@ -54,44 +69,36 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
     depend on the order in which they are created, so work split across
     runs or replicates stays reproducible under any execution order.
     """
-    if seed < 0:
-        raise ConfigurationError("seed must be a non-negative integer")
+    _check_count("seed", seed, 0)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Ordered observation time points with trapezoid quadrature weights."""
+    """Ordered observation time points with their trapezoid quadrature
+    weights, which the points determine."""
 
     points: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _frozen_array(self.points))
-        object.__setattr__(self, "weights", _frozen_array(self.weights))
-        if self.points.ndim != 1 or self.points.size < 2:
-            raise ConfigurationError("grid needs at least 2 points")
-        if not np.all(np.isfinite(self.points)):
-            raise ConfigurationError("grid points must be finite")
-        if np.any(np.diff(self.points) <= 0):
-            raise ConfigurationError("grid points must be strictly increasing")
-        if self.weights.shape != self.points.shape:
-            raise ConfigurationError("weights must match points in length")
-        if np.any(self.weights <= 0):
-            raise ConfigurationError("quadrature weights must be positive")
-
-    @classmethod
-    def from_points(cls, points) -> "Grid":
-        """Grid with trapezoid weights for arbitrary increasing points."""
-        pts = np.asarray(points, dtype=float)
+        pts = _frozen_array(self.points)
+        object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or pts.size < 2:
             raise ConfigurationError("grid needs at least 2 points")
+        if not np.all(np.isfinite(pts)):
+            raise ConfigurationError("grid points must be finite")
+        if np.any(np.diff(pts) <= 0):
+            raise ConfigurationError("grid points must be strictly increasing")
         w = np.empty_like(pts)
         w[0] = (pts[1] - pts[0]) / 2.0
         w[-1] = (pts[-1] - pts[-2]) / 2.0
-        if pts.size > 2:
-            w[1:-1] = (pts[2:] - pts[:-2]) / 2.0
-        return cls(pts, w)
+        w[1:-1] = (pts[2:] - pts[:-2]) / 2.0
+        # halving can round a subnormal gap to zero
+        if np.any(w <= 0):
+            raise ConfigurationError("quadrature weights must be positive")
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
 
     @property
     def size(self) -> int:
@@ -121,9 +128,8 @@ def make_regular_grid(a: float, b: float, d: int) -> Grid:
     """
     if not (a < b):
         raise ConfigurationError(f"invalid bounds: need a < b, got [{a}, {b}]")
-    if d < 2:
-        raise ConfigurationError(f"need at least 2 grid points, got {d}")
-    return Grid.from_points(np.linspace(a, b, d))
+    _check_count("d", d, 2)
+    return Grid(np.linspace(a, b, d))
 
 
 @dataclass(frozen=True, eq=False)

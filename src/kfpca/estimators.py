@@ -181,13 +181,6 @@ class MeanBand:
     level: float
     replicates: int
 
-    def __post_init__(self):
-        slack = 1e-12
-        if np.any(self.lower.values > self.mean.values + slack) or np.any(
-            self.mean.values > self.upper.values + slack
-        ):
-            raise EstimationError("band does not contain the mean estimate pointwise")
-
 
 def mean_hat(sample: FunctionalSample) -> Curve:
     """Pointwise average curve across subjects."""
@@ -347,14 +340,15 @@ def bootstrap_mean_band(
     ----------
     level : float in (0, 1)
         Coverage level; the band spans the (1 - level)/2 and (1 + level)/2
-        pointwise quantiles of the replicate means.
+        pointwise quantiles of the replicate means.  It is not built around
+        the sample mean, so at a low level, on skewed data, it may exclude
+        the mean at some points.
     replicates : int
         Number of bootstrap replicates, at least 100.
     """
     if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
         raise ConfigurationError(f"level must lie in (0, 1), got {level!r}")
     _check_count("replicates", replicates, 100)
-    _check_count("seed", seed, 0)
     x = sample.values
     n = x.shape[0]
     boot = np.empty((replicates, x.shape[1]))

@@ -112,7 +112,7 @@ def score_mse(estimated: np.ndarray, truth: np.ndarray, eigenfunction_sign: floa
     return float(_score_mses(est.reshape(-1, 1), tru.reshape(-1, 1), eigenfunction_sign)[0])
 
 
-# the two-component fit every Monte Carlo run makes; a fit never reads the seed
+# the two-component fit every Monte Carlo run makes
 _RUN_CONFIGS = {m: FitConfig(method=m, n_components=2) for m in METHODS}
 
 

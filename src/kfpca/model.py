@@ -4,11 +4,12 @@ A fit runs each stage once, on arrays: optional pre-smoothing (a GCV
 bandwidth per curve), mean estimation, a kernel estimate (pairwise sign-based
 or sample covariance) with its one weighted eigensolve, the cut at K
 components, the K x d array of kept eigenfunctions (optionally smoothed),
-score projection, and per-component score variances.  ``_fit_arrays`` runs
-those stages and returns arrays; ``fit`` wraps them into an ``FpcaModel``,
-building the K eigenfunction ``Curve`` objects once, while a Monte Carlo
-run scores the arrays and builds no model.
-The fitted object serializes to a single JSON document.
+and score projection.  ``_fit_arrays`` runs those stages and returns arrays;
+``fit`` wraps them into an ``FpcaModel``, building the K eigenfunction
+``Curve`` objects once, while a Monte Carlo run scores the arrays and builds
+no model.  A model stores each fact once: its method is its config's, and
+its per-component score variances are computed from its scores.  It
+serializes to a single JSON document (schema 2; schema-1 documents load).
 """
 
 import json
@@ -26,6 +27,7 @@ from .core import (
     Grid,
     _check_bandwidth,
     _check_count,
+    _check_index,
     _check_non_negative,
     _frozen_array,
     smooth_rows,
@@ -38,7 +40,11 @@ KFPCA = "kfpca"
 COV = "cov"
 METHODS = (KFPCA, COV)
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
+# schema 1 also stored "method", "component_variances" and "config.seed",
+# which a model derives or no longer has; a schema-1 document loads with
+# those keys unread
+_READABLE_VERSIONS = ("1", SCHEMA_VERSION)
 
 
 @dataclass(frozen=True)
@@ -49,8 +55,7 @@ class FitConfig:
     as a fraction-of-variance-explained threshold on the decomposed
     spectrum, stored as a Python int or float.  The two flags are bools (a
     numpy bool is stored as one), and each bandwidth is "auto" or a positive
-    number.  ``seed`` is carried along for downstream resampling only; the
-    fit itself is deterministic.
+    number.  A fit is deterministic given its sample and config.
     """
 
     method: str = KFPCA
@@ -60,7 +65,6 @@ class FitConfig:
     eigen_smooth: bool = False
     eigen_bandwidth: float | str = "auto"
     degenerate_tol: float = 1e-12
-    seed: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -78,7 +82,6 @@ class FitConfig:
                 "n_components must be a count >= 1 or a threshold in (0, 1)"
             )
         _check_non_negative("degenerate_tol", self.degenerate_tol)
-        _check_count("seed", self.seed, 0)
         for name in ("presmooth", "eigen_smooth"):
             flag = getattr(self, name)
             if not isinstance(flag, (bool, np.bool_)):
@@ -89,46 +92,48 @@ class FitConfig:
         # numpy scalars pass the checks but not json.dumps in save_model
         object.__setattr__(self, "n_components", n)
         object.__setattr__(self, "degenerate_tol", float(self.degenerate_tol))
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True, eq=False)
 class FpcaModel:
-    """A fitted functional PCA model."""
+    """A fitted functional PCA model: each fact stored once, the method and
+    the score variances derived from the config and the scores."""
 
     grid: Grid
     mean: Curve
     eigenfunctions: tuple[Curve, ...]
     operator_eigenvalues: np.ndarray
-    component_variances: np.ndarray
     scores: np.ndarray
-    method: str
     config: FitConfig
     # spectrum mass beyond the kept components, so FVE survives truncation
     _spectrum_remainder: float = 0.0
 
     def __post_init__(self):
-        for name in ("operator_eigenvalues", "component_variances", "scores"):
+        for name in ("operator_eigenvalues", "scores"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
         object.__setattr__(self, "eigenfunctions", tuple(self.eigenfunctions))
         k = len(self.eigenfunctions)
-        if self.method != self.config.method:
-            raise ConfigurationError(
-                f"method {self.method!r} disagrees with config.method {self.config.method!r}"
-            )
         if not all(c.grid.matches(self.grid) for c in (self.mean, *self.eigenfunctions)):
             raise DimensionError("mean and eigenfunctions must lie on the model grid")
-        if self.operator_eigenvalues.shape != (k,) or self.component_variances.shape != (k,):
-            raise DimensionError(f"need {k} operator eigenvalues and {k} component variances")
-        if self.scores.ndim != 2 or self.scores.shape[1] != k:
-            raise DimensionError(f"scores must be an N x {k} matrix")
-        ev, var = self.operator_eigenvalues, self.component_variances
+        if self.operator_eigenvalues.shape != (k,):
+            raise DimensionError(f"need {k} operator eigenvalues")
+        # N >= 2 keeps component_variances (divisor N - 1) defined
+        if self.scores.ndim != 2 or self.scores.shape[0] < 2 or self.scores.shape[1] != k:
+            raise DimensionError(f"scores must be an N x {k} matrix with N >= 2")
+        ev = self.operator_eigenvalues
         if (ev[1:] > ev[:-1]).any():
             raise InputError("operator eigenvalues must be non-increasing")
-        if not all(np.isfinite(a).all() for a in (ev, var, self.scores)):
-            raise InputError("eigenvalues, component variances and scores must be finite")
-        if (var < 0).any():
-            raise InputError("component variances must be non-negative")
+        if not (np.isfinite(ev).all() and np.isfinite(self.scores).all()):
+            raise InputError("eigenvalues and scores must be finite")
+
+    @property
+    def method(self) -> str:
+        return self.config.method
+
+    @property
+    def component_variances(self) -> np.ndarray:
+        """Per-component score variances (divisor N - 1)."""
+        return self.scores.var(axis=0, ddof=1)
 
     @property
     def n_components(self) -> int:
@@ -226,9 +231,7 @@ def fit(sample: FunctionalSample, config: FitConfig) -> FpcaModel:
         mean=run.mean,
         eigenfunctions=tuple(Curve(run.grid, row) for row in run.phi),
         operator_eigenvalues=run.eigenvalues,
-        component_variances=run.scores.var(axis=0, ddof=1),
         scores=run.scores,
-        method=config.method,
         config=config,
         _spectrum_remainder=run.remainder,
     )
@@ -236,12 +239,7 @@ def fit(sample: FunctionalSample, config: FitConfig) -> FpcaModel:
 
 def reconstruct(model: FpcaModel, subject: int, n_components: int) -> Curve:
     """Truncated expansion mean + sum_k score_ik phi_k for one subject."""
-    if isinstance(subject, bool) or not isinstance(subject, numbers.Integral):
-        raise InputError(f"subject index must be an integer, got {subject!r}")
-    if not 0 <= subject < model.n_subjects:
-        raise InputError(
-            f"subject index {subject} out of range [0, {model.n_subjects})"
-        )
+    _check_index("subject index", subject, model.n_subjects)
     _check_count("reconstruction order", n_components, 0)
     if n_components > model.n_components:
         raise ConfigurationError(
@@ -266,11 +264,9 @@ def serialize_model(model: FpcaModel) -> dict:
     """
     return {
         "schema_version": SCHEMA_VERSION,
-        "method": model.method,
         "grid": {"points": model.grid.points.tolist()},
         "mean": model.mean.values.tolist(),
         "eigenvalues_operator": model.operator_eigenvalues.tolist(),
-        "component_variances": model.component_variances.tolist(),
         "eigenfunctions": [c.values.tolist() for c in model.eigenfunctions],
         "scores": model.scores.tolist(),
         "spectrum_remainder": model._spectrum_remainder,
@@ -303,7 +299,7 @@ def deserialize_model(doc: dict) -> FpcaModel:
     if not isinstance(doc, dict):
         raise ParseError("model document must be a JSON object", path="")
     version = _parse("schema_version", lambda: doc["schema_version"])
-    if version != SCHEMA_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise ParseError(
             f"unsupported schema_version {version!r}", path="schema_version"
         )
@@ -311,16 +307,14 @@ def deserialize_model(doc: dict) -> FpcaModel:
     def array(key):
         return _parse(key, lambda: np.asarray(doc[key], dtype=float))
 
-    grid = _parse("grid", lambda: Grid.from_points(doc["grid"]["points"]))
+    grid = _parse("grid", lambda: Grid(doc["grid"]["points"]))
     mean = _parse("mean", lambda: Curve(grid, doc["mean"]))
     funcs = _parse(
         "eigenfunctions",
         lambda: tuple(Curve(grid, row) for row in doc["eigenfunctions"]),
     )
     eigenvalues = array("eigenvalues_operator")
-    variances = array("component_variances")
     scores = array("scores")
-    method = _parse("method", lambda: doc["method"])
     config = _parse("config", lambda: _config_from_doc(doc["config"]))
     remainder = _parse(
         "spectrum_remainder", lambda: float(doc.get("spectrum_remainder", 0.0))
@@ -332,9 +326,7 @@ def deserialize_model(doc: dict) -> FpcaModel:
             mean=mean,
             eigenfunctions=funcs,
             operator_eigenvalues=eigenvalues,
-            component_variances=variances,
             scores=scores,
-            method=method,
             config=config,
             _spectrum_remainder=remainder,
         ),

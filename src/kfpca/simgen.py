@@ -22,6 +22,7 @@ from .core import (
     FunctionalSample,
     Grid,
     _check_count,
+    _check_index,
     _check_non_negative,
     derive_rng,
     make_regular_grid,
@@ -216,8 +217,7 @@ def generate(scenario: SimulationScenario, run_index: int) -> TruthBundle:
     from separate derived streams, so runs can execute in any order.  Every
     run of one scenario object shares its read-only grid and truth curves.
     """
-    if not 0 <= run_index < scenario.runs:
-        raise InputError(f"run_index {run_index} out of range [0, {scenario.runs})")
+    _check_index("run_index", run_index, scenario.runs)
     grid, truth, basis = scenario._design
 
     score_rng = derive_rng(scenario.seed, run_index, _SCORE_STREAM)

@@ -323,12 +323,15 @@ class TestMainPlumbing:
               "--out", "{out}"], 2, "KFPCA_THREADS"),
             (["simulate", "--methods", "bogus", "--out", "{out}"], 2, "'bogus'"),
             (["simulate", "--methods", ",", "--out", "{out}"], 2, "at least one method"),
+            (["fit", "{data}", "--method", "pca", "--out", "{out}"], 2, "'pca'"),
+            (["simulate", "--case", "3", "--out", "{out}"], 2, "case must be one of"),
         ],
         ids=[
             "fit-missing-dir", "simulate-missing-dir", "mean-band-missing-dir",
             "rate-missing-dir", "non-utf8-csv", "negative-bandwidth",
             "unused-negative-bandwidth", "unknown-bandwidth", "identical-curves",
             "simulate-bad-threads", "simulate-unknown-method", "simulate-no-method",
+            "fit-unknown-method", "simulate-unknown-case",
         ],
     )
     def test_error_is_one_line_and_its_class_sets_the_exit_code(
@@ -364,5 +367,5 @@ class TestMainPlumbing:
         out = tmp_path / "model.json"
         main(["fit", str(activity_like_csv), "--out", str(out)])
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1"
+        assert doc["schema_version"] == "2"
         assert len(doc["grid"]["points"]) == 36

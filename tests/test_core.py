@@ -65,15 +65,27 @@ class TestMakeRegularGrid:
             make_regular_grid(a, b, d)
 
     def test_weights_positive(self):
-        g = Grid.from_points([0.0, 0.1, 1.0, 5.0])
+        g = Grid([0.0, 0.1, 1.0, 5.0])
         assert np.all(g.weights > 0)
         assert g.weights.sum() == pytest.approx(5.0)
 
     def test_non_increasing_points_rejected(self):
         with pytest.raises(ConfigurationError):
-            Grid.from_points([0.0, 1.0, 1.0])
+            Grid([0.0, 1.0, 1.0])
         with pytest.raises(ConfigurationError):
-            Grid.from_points([0.0, 2.0, 1.0])
+            Grid([0.0, 2.0, 1.0])
+
+    def test_weights_are_derived_from_the_points(self):
+        g = Grid([0.0, 0.1, 1.0, 5.0])
+        assert np.array_equal(g.weights, [0.05, 0.5, 2.45, 2.0])
+        assert not g.weights.flags.writeable
+        with pytest.raises(TypeError):
+            Grid([0.0, 1.0], [0.5, 0.5])
+
+    def test_weight_rounded_to_zero_rejected(self):
+        # the points increase, but half the subnormal gap rounds to zero
+        with pytest.raises(ConfigurationError, match="weights must be positive"):
+            Grid([0.0, 5e-324])
 
 
 class TestInnerProduct:
@@ -118,7 +130,7 @@ class TestInnerProduct:
     def test_exact_for_piecewise_linear_products(self):
         # quadrature equals the segment-by-segment trapezoid sum
         pts = np.array([0.0, 0.3, 1.1, 2.0, 4.0])
-        g = Grid.from_points(pts)
+        g = Grid(pts)
         rng = derive_rng(7, 0)
         fv = rng.standard_normal(5)
         gv = rng.standard_normal(5)
@@ -244,7 +256,7 @@ def unflushed_local_linear_matrix(points, bandwidth):
 
 
 SMOOTHER_GRIDS = [make_regular_grid(0, 10, d) for d in (11, 51, 101, 401)] + [
-    Grid.from_points(np.sort(derive_rng(11, 0).uniform(0, 10, 60)))
+    Grid(np.sort(derive_rng(11, 0).uniform(0, 10, 60)))
 ]
 
 

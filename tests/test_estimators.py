@@ -12,11 +12,9 @@ import kfpca.estimators
 
 from kfpca import (
     ConfigurationError,
-    Curve,
     EstimationError,
     FunctionalSample,
     InputError,
-    MeanBand,
     SimulationScenario,
     bootstrap_mean_band,
     covariance_hat,
@@ -491,12 +489,15 @@ class TestBootstrapMeanBand:
         with pytest.raises(ConfigurationError):
             bootstrap_mean_band(sample, level, 100, seed=0)
 
-    def test_invalid_band_rejected(self):
-        g = make_regular_grid(0, 1, 5)
-        mean = Curve(g, np.zeros(5))
-        below = Curve(g, np.full(5, -1.0))
-        with pytest.raises(EstimationError):
-            MeanBand(mean=mean, lower=below, upper=below, level=0.9, replicates=100)
+    def test_low_level_band_on_skewed_data_may_exclude_the_mean(self):
+        # a percentile band need not contain the sample mean; this input
+        # used to raise EstimationError ("band does not contain the mean")
+        values = derive_rng(0, 0).standard_exponential((15, 3)) ** 3
+        sample = FunctionalSample(make_regular_grid(0, 1, 3), values)
+        band = bootstrap_mean_band(sample, 0.05, 100, seed=0)
+        lower, mean, upper = band.lower.values, band.mean.values, band.upper.values
+        assert np.all(lower <= upper)
+        assert np.any((mean < lower) | (mean > upper))
 
     def test_pointwise_coverage_of_true_mean(self):
         # 200 simulated datasets; the 90% band should cover the true mean

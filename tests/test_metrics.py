@@ -170,7 +170,7 @@ def per_curve_reference(scenario, run_index, method):
     """A run's metrics through the public one-component functions, one
     eigenfunction Curve and one score column at a time."""
     bundle = generate(scenario, run_index)
-    model = fit(bundle.sample, FitConfig(method=method, n_components=2, seed=scenario.seed))
+    model = fit(bundle.sample, FitConfig(method=method, n_components=2))
     imse_k, mse_k = np.empty(2), np.empty(2)
     for k in range(2):
         est, tru = model.eigenfunctions[k], bundle.true_eigenfunctions[k]

@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import kfpca
 
 
@@ -25,3 +27,32 @@ def test_import_loads_no_optimizer_or_special_functions():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert out.stdout.strip() == ""
+
+
+_SCENARIO = kfpca.SimulationScenario(n_subjects=5, n_points=6, runs=2)
+_GRID = kfpca.make_regular_grid(0, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: kfpca.make_regular_grid(0, 1, 2.5),
+        lambda: kfpca.derive_rng(1.5),
+        lambda: kfpca.derive_rng(None),
+        lambda: kfpca.generate(_SCENARIO, 1.5),
+        lambda: kfpca.generate(_SCENARIO, "0"),
+        lambda: kfpca.generate(_SCENARIO, True),
+        lambda: kfpca.evaluate_run(_SCENARIO, 1.5, "kfpca"),
+        lambda: kfpca.Grid(["a", "b"]),
+        lambda: kfpca.Curve(_GRID, "abc"),
+        lambda: kfpca.FunctionalSample(_GRID, [[1.0, 2.0, 3.0], [1.0, 2.0]]),
+    ],
+    ids=[
+        "grid-size-float", "rng-seed-float", "rng-seed-none", "run-index-float",
+        "run-index-str", "run-index-bool", "evaluate-run-index-float",
+        "grid-text-points", "curve-text-values", "ragged-sample",
+    ],
+)
+def test_malformed_public_argument_raises_a_package_error(call):
+    with pytest.raises(kfpca.KfpcaError):
+        call()
