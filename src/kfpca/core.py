@@ -45,8 +45,10 @@ def _check_index(name: str, value, size: int) -> None:
 
 
 def _check_non_negative(name: str, value) -> None:
-    """Raise ConfigurationError unless ``value`` is a finite real >= 0."""
-    if not (isinstance(value, numbers.Real) and 0.0 <= value < np.inf):
+    """Raise ConfigurationError unless ``value`` is a finite real >= 0 and
+    not a bool."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and 0.0 <= value < np.inf):
         raise ConfigurationError(
             f"{name} must be a finite non-negative number, got {value!r}"
         )
@@ -68,8 +70,11 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
     Streams for distinct keys are statistically independent and do not
     depend on the order in which they are created, so work split across
     runs or replicates stays reproducible under any execution order.
+    The seed and each key are integers >= 0; ConfigurationError otherwise.
     """
     _check_count("seed", seed, 0)
+    for part in key:
+        _check_count("each key", part, 0)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
@@ -124,10 +129,12 @@ def make_regular_grid(a: float, b: float, d: int) -> Grid:
     """Equally spaced grid on [a, b] with d points and trapezoid weights.
 
     Interior weights equal the spacing h = (b - a)/(d - 1), endpoint
-    weights h/2, so the weights sum to b - a.
+    weights h/2, so the weights sum to b - a.  ConfigurationError unless
+    a and b are finite reals (not bools) with a < b and d is an integer >= 2.
     """
-    if not (a < b):
-        raise ConfigurationError(f"invalid bounds: need a < b, got [{a}, {b}]")
+    real = all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in (a, b))
+    if not (real and np.isfinite(a) and np.isfinite(b) and a < b):
+        raise ConfigurationError(f"invalid bounds: need finite a < b, got [{a}, {b}]")
     _check_count("d", d, 2)
     return Grid(np.linspace(a, b, d))
 

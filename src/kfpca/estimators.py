@@ -130,7 +130,8 @@ class DiscretizedKernel:
         Raises EstimationError when LAPACK reports a failure.
         """
         d = self.grid.size
-        if not 1 <= k <= d:
+        _check_count("n_components", k, 1)
+        if k > d:
             raise ConfigurationError(f"n_components must lie in [1, {d}], got {k}")
         diag, off = self._diagonal, self._off_diagonal
         if 10 * k <= d:

@@ -3,9 +3,9 @@
 Eigenfunctions are sign-indeterminate, so every comparison against truth
 first aligns signs; the same sign flips the matching score column, keeping
 eigenfunction and score errors consistent.  A Monte Carlo run generates its
-dataset once and every method is fitted and scored on that one dataset, as
-arrays: the run scores the fit's K x d eigenfunction array and N x K score
-matrix and builds no model.
+dataset once and every method is fitted on that one dataset with the public
+``fit``; the run scores the model's K x d eigenfunction array and N x K
+score matrix as arrays.
 """
 
 import dataclasses
@@ -19,7 +19,7 @@ import numpy as np
 from .core import Curve, _check_count, _require_same_grid, _weighted_dots
 from .errors import ConfigurationError, InputError
 from .estimators import kendall_tau_hat
-from .model import METHODS, FitConfig, _fit_arrays
+from .model import METHODS, FitConfig, fit
 from .simgen import SimulationScenario, generate
 
 METRIC_NAMES = ("imse1", "imse2", "mse1", "mse2")
@@ -133,9 +133,9 @@ def _evaluate(
     truth = scenario._design[2]  # the bundle's truth curves, stacked once
     out = []
     for config in configs:
-        run = _fit_arrays(bundle.sample, config)
-        signs, imses = _aligned_imses(run.phi, truth, weights)
-        mses = _score_mses(run.scores, bundle.true_scores, signs)
+        model = fit(bundle.sample, config)
+        signs, imses = _aligned_imses(model.eigenfunction_values, truth, weights)
+        mses = _score_mses(model.scores, bundle.true_scores, signs)
         out.append(RunMetrics(imses, mses, run_index, scenario, config.method))
     return out
 

@@ -4,12 +4,13 @@ A fit runs each stage once, on arrays: optional pre-smoothing (a GCV
 bandwidth per curve), mean estimation, a kernel estimate (pairwise sign-based
 or sample covariance) with its one weighted eigensolve, the cut at K
 components, the K x d array of kept eigenfunctions (optionally smoothed),
-and score projection.  ``_fit_arrays`` runs those stages and returns arrays;
-``fit`` wraps them into an ``FpcaModel``, building the K eigenfunction
-``Curve`` objects once, while a Monte Carlo run scores the arrays and builds
-no model.  A model stores each fact once: its method is its config's, and
-its per-component score variances are computed from its scores.  It
-serializes to a single JSON document (schema 2; schema-1 documents load).
+and score projection.  ``fit`` returns them as an ``FpcaModel``, the one
+record of a fit, which the CLI saves and a Monte Carlo run scores.  A model
+stores each fact once: its eigenfunctions as one K x d array on its mean's
+grid, its method as its config's, and its per-component score variances as
+computed from its scores; ``grid`` and the eigenfunction ``Curve`` objects
+are derived on access.  It serializes to a single JSON document (schema 2;
+schema-1 documents load).
 """
 
 import json
@@ -17,7 +18,6 @@ import numbers
 import os
 import tempfile
 from dataclasses import asdict, dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -94,14 +94,27 @@ class FitConfig:
         object.__setattr__(self, "degenerate_tol", float(self.degenerate_tol))
 
 
+def _eigenfunction_array(grid: Grid, values) -> np.ndarray:
+    """``values`` as a read-only K x d array of finite numbers, K >= 1 and d
+    the size of ``grid``; DimensionError or InputError otherwise."""
+    rows = _frozen_array(values)
+    if rows.ndim != 2 or not len(rows) or rows.shape[1] != grid.size:
+        raise DimensionError(
+            f"eigenfunctions must be a K x {grid.size} matrix with K >= 1"
+        )
+    if not np.isfinite(rows).all():
+        raise InputError("eigenfunction values must be finite")
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class FpcaModel:
-    """A fitted functional PCA model: each fact stored once, the method and
-    the score variances derived from the config and the scores."""
+    """A fitted functional PCA model: each fact stored once.  The
+    eigenfunctions are one K x d array on the mean's grid; the grid, the
+    eigenfunction curves, the method and the score variances are derived."""
 
-    grid: Grid
     mean: Curve
-    eigenfunctions: tuple[Curve, ...]
+    eigenfunction_values: np.ndarray  # K x d, row k holds phi_k on the grid
     operator_eigenvalues: np.ndarray
     scores: np.ndarray
     config: FitConfig
@@ -109,12 +122,11 @@ class FpcaModel:
     _spectrum_remainder: float = 0.0
 
     def __post_init__(self):
+        phi = _eigenfunction_array(self.grid, self.eigenfunction_values)
+        object.__setattr__(self, "eigenfunction_values", phi)
         for name in ("operator_eigenvalues", "scores"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-        object.__setattr__(self, "eigenfunctions", tuple(self.eigenfunctions))
-        k = len(self.eigenfunctions)
-        if not all(c.grid.matches(self.grid) for c in (self.mean, *self.eigenfunctions)):
-            raise DimensionError("mean and eigenfunctions must lie on the model grid")
+        k = len(phi)
         if self.operator_eigenvalues.shape != (k,):
             raise DimensionError(f"need {k} operator eigenvalues")
         # N >= 2 keeps component_variances (divisor N - 1) defined
@@ -127,6 +139,15 @@ class FpcaModel:
             raise InputError("eigenvalues and scores must be finite")
 
     @property
+    def grid(self) -> Grid:
+        return self.mean.grid
+
+    @property
+    def eigenfunctions(self) -> tuple[Curve, ...]:
+        """The K eigenfunctions as curves, built on each access."""
+        return tuple(Curve(self.grid, row) for row in self.eigenfunction_values)
+
+    @property
     def method(self) -> str:
         return self.config.method
 
@@ -137,7 +158,7 @@ class FpcaModel:
 
     @property
     def n_components(self) -> int:
-        return len(self.eigenfunctions)
+        return len(self.eigenfunction_values)
 
     @property
     def n_subjects(self) -> int:
@@ -168,20 +189,22 @@ def _select_k(eigenvalues: np.ndarray, n_components: int | float) -> int:
     return int(hits[0]) + 1
 
 
-class _FitArrays(NamedTuple):
-    """One fit as arrays, before any model is built."""
+def fit(sample: FunctionalSample, config: FitConfig) -> FpcaModel:
+    """Fit a functional PCA model to a dense sample.
 
-    grid: Grid
-    mean: Curve
-    phi: np.ndarray  # K x d, row k holds phi_k on the grid
-    eigenvalues: np.ndarray  # the K kept operator eigenvalues
-    scores: np.ndarray  # N x K
-    remainder: float  # spectrum mass beyond the kept components
+    Parameters
+    ----------
+    sample : FunctionalSample
+        At least 3 curves on at least 4 grid points.
+    config : FitConfig
+        Method and options; see FitConfig.
 
-
-def _fit_arrays(sample: FunctionalSample, config: FitConfig) -> _FitArrays:
-    """Each stage of a fit once, on arrays; ``fit`` wraps the result into a
-    model and a Monte Carlo run scores it directly."""
+    Returns
+    -------
+    FpcaModel
+        Mean, K x d eigenfunction array, operator eigenvalues and score
+        matrix, ordered by the decomposed spectrum.
+    """
     if sample.n_subjects < 3:
         raise InputError("fit needs at least 3 curves")
     if sample.grid.size < 4:
@@ -205,36 +228,7 @@ def _fit_arrays(sample: FunctionalSample, config: FitConfig) -> _FitArrays:
     )
     scores = project_scores(sample, mean, phi)
     ev = kernel.eigenvalues
-    return _FitArrays(sample.grid, mean, phi, ev[:k], scores, float(ev[k:].sum()))
-
-
-def fit(sample: FunctionalSample, config: FitConfig) -> FpcaModel:
-    """Fit a functional PCA model to a dense sample.
-
-    Parameters
-    ----------
-    sample : FunctionalSample
-        At least 3 curves on at least 4 grid points.
-    config : FitConfig
-        Method and options; see FitConfig.
-
-    Returns
-    -------
-    FpcaModel
-        Mean, eigenfunctions, operator eigenvalues, score matrix, and
-        per-component score variances (divisor N - 1), ordered by the
-        decomposed spectrum.
-    """
-    run = _fit_arrays(sample, config)
-    return FpcaModel(
-        grid=run.grid,
-        mean=run.mean,
-        eigenfunctions=tuple(Curve(run.grid, row) for row in run.phi),
-        operator_eigenvalues=run.eigenvalues,
-        scores=run.scores,
-        config=config,
-        _spectrum_remainder=run.remainder,
-    )
+    return FpcaModel(mean, phi, ev[:k], scores, config, float(ev[k:].sum()))
 
 
 def reconstruct(model: FpcaModel, subject: int, n_components: int) -> Curve:
@@ -247,7 +241,7 @@ def reconstruct(model: FpcaModel, subject: int, n_components: int) -> Curve:
         )
     values = model.mean.values.copy()
     for k in range(n_components):
-        values += model.scores[subject, k] * model.eigenfunctions[k].values
+        values += model.scores[subject, k] * model.eigenfunction_values[k]
     return Curve(model.grid, values)
 
 
@@ -267,7 +261,7 @@ def serialize_model(model: FpcaModel) -> dict:
         "grid": {"points": model.grid.points.tolist()},
         "mean": model.mean.values.tolist(),
         "eigenvalues_operator": model.operator_eigenvalues.tolist(),
-        "eigenfunctions": [c.values.tolist() for c in model.eigenfunctions],
+        "eigenfunctions": model.eigenfunction_values.tolist(),
         "scores": model.scores.tolist(),
         "spectrum_remainder": model._spectrum_remainder,
         "config": asdict(model.config),
@@ -309,9 +303,8 @@ def deserialize_model(doc: dict) -> FpcaModel:
 
     grid = _parse("grid", lambda: Grid(doc["grid"]["points"]))
     mean = _parse("mean", lambda: Curve(grid, doc["mean"]))
-    funcs = _parse(
-        "eigenfunctions",
-        lambda: tuple(Curve(grid, row) for row in doc["eigenfunctions"]),
+    phi = _parse(
+        "eigenfunctions", lambda: _eigenfunction_array(grid, doc["eigenfunctions"])
     )
     eigenvalues = array("eigenvalues_operator")
     scores = array("scores")
@@ -321,15 +314,7 @@ def deserialize_model(doc: dict) -> FpcaModel:
     )
     return _parse(
         "",
-        lambda: FpcaModel(
-            grid=grid,
-            mean=mean,
-            eigenfunctions=funcs,
-            operator_eigenvalues=eigenvalues,
-            scores=scores,
-            config=config,
-            _spectrum_remainder=remainder,
-        ),
+        lambda: FpcaModel(mean, phi, eigenvalues, scores, config, remainder),
     )
 
 

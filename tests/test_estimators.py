@@ -19,6 +19,7 @@ from kfpca import (
     bootstrap_mean_band,
     covariance_hat,
     derive_rng,
+    eigen_decompose,
     generate,
     kendall_tau_hat,
     make_regular_grid,
@@ -429,10 +430,15 @@ class TestLeadingEigenvectors:
         with pytest.raises(EstimationError, match=name):
             kernel.leading_eigenvectors(k)
 
-    @pytest.mark.parametrize("k", [0, 52])
+    @pytest.mark.parametrize("k", [0, 52, 2.5, 2.0, True, "2"])
     def test_count_out_of_range(self, k):
+        # a count that is not an integer is a configuration error too, not a
+        # LAPACK failure or a raw TypeError
+        kernel = solved_kernel("kendall", 100, 51)[0]
         with pytest.raises(ConfigurationError):
-            solved_kernel("kendall", 100, 51)[0].leading_eigenvectors(k)
+            kernel.leading_eigenvectors(k)
+        with pytest.raises(ConfigurationError):
+            eigen_decompose(kernel, k)
 
     def test_no_eigenvector_matrix_is_kept(self):
         kernel = solved_kernel("kendall", 100, 51)[0]

@@ -184,8 +184,8 @@ class TestEvaluateRun:
     @pytest.mark.parametrize("case", [1, 2])
     @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
     def test_array_scoring_matches_the_per_curve_reference(self, distribution, case):
-        # the runs score the array fit core and the reference scores the
-        # public fit's model, so the two fit layers cannot drift apart
+        # the runs score the model's arrays and the reference scores its
+        # eigenfunction Curves one at a time, so the two cannot drift apart
         scenario = SimulationScenario(
             case=case, distribution=distribution, n_subjects=40, n_points=21, seed=8, runs=3
         )
@@ -221,7 +221,7 @@ class TestEvaluateRun:
         assert calls == {"grid": 1, "truth": 1}
         assert [len(out[m]) for m in ("kfpca", "cov")] == [20, 20]
 
-    def test_run_scenario_builds_no_model(self, monkeypatch):
+    def test_run_scenario_builds_one_model_and_one_curve_per_fit(self, monkeypatch):
         import kfpca.core
         import kfpca.model
 
@@ -238,9 +238,28 @@ class TestEvaluateRun:
         for name, cls in (("model", kfpca.model.FpcaModel), ("curve", kfpca.core.Curve)):
             monkeypatch.setattr(cls, "__post_init__", counted(name, cls.__post_init__))
         out = run_scenario(scenario, ("kfpca", "cov"), workers=1)
-        # one Curve per fit, its mean; no eigenfunction Curve and no model
-        assert built == {"model": 0, "curve": 2 * scenario.runs}
+        # per fit one model and one Curve, its mean; no eigenfunction Curve
+        fits = 2 * scenario.runs
+        assert built == {"model": fits, "curve": fits}
         assert [len(out[m]) for m in ("kfpca", "cov")] == [20, 20]
+
+    def test_runs_call_fit_through_the_metrics_module(self, monkeypatch):
+        # a tracer that wraps kfpca.metrics.fit sees every Monte Carlo fit
+        import kfpca.metrics
+
+        calls = []
+
+        def counted(sample, config):
+            calls.append(config.method)
+            return fit(sample, config)
+
+        monkeypatch.setattr(kfpca.metrics, "fit", counted)
+        scenario = SimulationScenario(n_subjects=20, n_points=11, seed=9, runs=3)
+        evaluate_run(scenario, 0, "cov")
+        assert calls == ["cov"]
+        calls.clear()
+        run_scenario(scenario, ("kfpca", "cov"), workers=1)
+        assert calls == ["kfpca", "cov"] * scenario.runs
 
     def test_produces_finite_metrics(self):
         scenario = SimulationScenario(n_subjects=40, n_points=21, seed=3, runs=2)

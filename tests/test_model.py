@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from kfpca import (
     ConfigurationError,
     Curve,
+    DimensionError,
     FitConfig,
+    FpcaModel,
     FunctionalSample,
     Grid,
     InputError,
@@ -187,6 +189,29 @@ class TestFit:
         assert np.array_equal(model.operator_eigenvalues, kernel.eigenvalues[:k])
         assert np.array_equal(model.scores, project_scores(sample, mean_hat(sample), phi))
 
+    def test_fit_and_load_model_build_one_curve_each(self, tmp_path, monkeypatch):
+        # the mean; the eigenfunctions stay one read-only K x d array
+        sample = noisy_sample(seed=18)
+        built = []
+        post_init = Curve.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Curve, "__post_init__", counted)
+        model = fit(sample, FitConfig(n_components=3))
+        assert built == [model.mean]
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        built.clear()
+        back = load_model(path)
+        assert built == [back.mean]
+        for m in (model, back):
+            assert m.grid is m.mean.grid
+            assert m.eigenfunction_values.shape == (3, 51)
+            assert not m.eigenfunction_values.flags.writeable
+
     @pytest.mark.parametrize("bad", [0, -1, 0.0, 1.0, -0.5, True, 2.0, 2.5, np.int64(0)])
     def test_invalid_n_components_config(self, bad):
         with pytest.raises(ConfigurationError):
@@ -240,7 +265,9 @@ class TestFit:
         with pytest.raises(ConfigurationError):
             FitConfig(method="pca")
 
-    @pytest.mark.parametrize("bad", [-1e-12, float("nan"), float("inf"), "1e-3", None])
+    @pytest.mark.parametrize(
+        "bad", [-1e-12, float("nan"), float("inf"), "1e-3", None, True]
+    )
     def test_invalid_degenerate_tol_config(self, bad):
         # NaN fails every comparison, so a bare `< 0` check lets it through;
         # a string or None fails the comparison itself
@@ -476,6 +503,31 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             deserialize_model(doc)
         assert err.value.path == path
+
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda rows: 3.0,
+            lambda rows: rows[0],
+            lambda rows: [rows[0], rows[1][:-1]],
+            lambda rows: [row + [0.0] for row in rows],
+            lambda rows: [rows[0], [float("nan")] + rows[1][1:]],
+            lambda rows: "abc",
+        ],
+        ids=["scalar", "one-dimensional", "ragged", "wrong-width", "nan", "string"],
+    )
+    def test_malformed_eigenfunctions_raise_parse_error(self, malform):
+        doc = serialize_model(fit(noisy_sample(seed=22), FitConfig(n_components=2)))
+        doc["eigenfunctions"] = malform(doc["eigenfunctions"])
+        with pytest.raises(ParseError) as err:
+            deserialize_model(doc)
+        assert err.value.path == "eigenfunctions"
+
+    def test_model_without_components_rejected(self):
+        # fit keeps K >= 1, so no saved model has an empty eigenfunction array
+        model = fit(noisy_sample(seed=22), FitConfig(n_components=2))
+        with pytest.raises(DimensionError):
+            FpcaModel(model.mean, np.empty((0, 51)), [], np.empty((60, 0)), model.config)
 
     @pytest.mark.parametrize(
         "field, value",

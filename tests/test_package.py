@@ -46,11 +46,16 @@ _GRID = kfpca.make_regular_grid(0, 1, 3)
         lambda: kfpca.Grid(["a", "b"]),
         lambda: kfpca.Curve(_GRID, "abc"),
         lambda: kfpca.FunctionalSample(_GRID, [[1.0, 2.0, 3.0], [1.0, 2.0]]),
+        lambda: kfpca.derive_rng(1, 1.5),
+        lambda: kfpca.derive_rng(1, "a"),
+        lambda: kfpca.make_regular_grid("a", 1, 3),
+        lambda: kfpca.make_regular_grid(0, True, 3),
     ],
     ids=[
         "grid-size-float", "rng-seed-float", "rng-seed-none", "run-index-float",
         "run-index-str", "run-index-bool", "evaluate-run-index-float",
         "grid-text-points", "curve-text-values", "ragged-sample",
+        "rng-key-float", "rng-key-str", "grid-text-bound", "grid-bool-bound",
     ],
 )
 def test_malformed_public_argument_raises_a_package_error(call):

@@ -295,6 +295,9 @@ class TestGenerate:
             ("lambdas", (16.0, None)),
             ("lambdas", 5),
             ("lambdas", None),
+            # a bool is not a variance
+            ("sigma2", True),
+            ("lambdas", (True, 9.0)),
         ],
     )
     def test_non_finite_variances_rejected(self, field, value):
