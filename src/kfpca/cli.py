@@ -13,6 +13,7 @@ renamed on success.
 import argparse
 import csv
 import sys
+import warnings
 
 import numpy as np
 
@@ -30,37 +31,79 @@ EXIT_NUMERIC = 3
 
 def read_dataset(path) -> FunctionalSample:
     """Parse a dataset CSV: header = grid times (optional leading "id"
-    column), one row of observations per subject."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    column), one row of observations per subject.
+
+    numpy's C text reader converts the data rows.  A file it refuses is
+    parsed again row by row, which takes every spelling Python's ``float``
+    takes and names a refused cell by line and column."""
+    sample = _read_dataset(path, fast=True)
+    if sample is None:
+        sample = _read_dataset(path, fast=False)
+    return sample
+
+
+def _read_dataset(path, fast: bool) -> FunctionalSample | None:
+    """The sample in the file at ``path``, its rows read by numpy's C reader
+    if ``fast`` (None if that reader refuses them) and row by row if not."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
-            return _parse_dataset(path, csv.reader(fh))
+            rows = csv.reader(fh)
+            grid, start = _parse_header(path, rows)
+            if fast:
+                values = _load_rows(fh, grid.size, start)
+            else:
+                values = _parse_rows(path, rows, grid.size, start)
         except (UnicodeDecodeError, csv.Error) as exc:
             raise ParseError(f"{path}: cannot read as UTF-8 CSV: {exc}", path=str(path))
+    return None if values is None else FunctionalSample(grid, values)
 
 
-def _parse_dataset(path, rows) -> FunctionalSample:
-    """The sample in CSV ``rows``, each row converted as it is read."""
+def _parse_header(path, rows) -> tuple[Grid, int]:
+    """The grid in the first of CSV ``rows``, and 1 if an "id" column leads
+    the file, else 0."""
     header = next(rows, None)
     if header is None:
         raise ParseError(f"dataset file {path} is empty", path=str(path))
-    has_id = bool(header) and header[0].strip().lower() == "id"
-    start = 1 if has_id else 0
-
-    def parse_row(row, line):
-        for col, text in enumerate(row[start:], start + 1):
-            try:
-                yield float(text)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {line}, column {col}: {text!r} is not a number",
-                    path=str(path),
-                )
-
+    start = 1 if header and header[0].strip().lower() == "id" else 0
     try:
-        grid = Grid(list(parse_row(header, 1)))
+        return Grid(list(_parse_cells(path, header, 1, start))), start
     except ConfigurationError as exc:
         raise ParseError(f"{path}: bad grid header: {exc}", path=str(path))
-    d = grid.size
+
+
+def _parse_cells(path, row, line, start):
+    """The cells of ``row`` from column ``start`` on, each as a float; a
+    ParseError names the first that is not a number."""
+    for col, text in enumerate(row[start:], start + 1):
+        try:
+            yield float(text)
+        except ValueError:
+            raise ParseError(
+                f"{path}: line {line}, column {col}: {text!r} is not a number",
+                path=str(path),
+            )
+
+
+def _load_rows(fh, d, start) -> np.ndarray | None:
+    """The rest of ``fh`` as an N x d array by numpy's C text reader, or
+    None if that reader refuses it or finds no rows.  The id column is
+    converted to zeros rather than left out with ``usecols``, which would
+    also drop a cell past the last grid time."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # "input contained no data"
+            values = np.loadtxt(
+                fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                converters={0: lambda _: 0.0} if start else None,
+            )
+    except (ValueError, UserWarning):
+        return None
+    return values[:, start:] if values.shape[1] == d + start else None
+
+
+def _parse_rows(path, rows, d, start) -> np.ndarray:
+    """The remaining CSV ``rows`` as an N x d array, each row converted as
+    it is read; blank rows are skipped."""
     values = []
     for line, row in enumerate(rows, 2):
         if not row:
@@ -73,8 +116,8 @@ def _parse_dataset(path, rows) -> FunctionalSample:
         try:
             values.append(np.fromiter(map(float, row[start:]), float, count=d))
         except ValueError:  # parse again cell by cell to name the bad one
-            values.append(np.fromiter(parse_row(row, line), float, count=d))
-    return FunctionalSample(grid, np.array(values).reshape(len(values), d))
+            values.append(np.fromiter(_parse_cells(path, row, line, start), float, count=d))
+    return np.array(values).reshape(len(values), d)
 
 
 def _write_csv(path, header, rows):

@@ -28,17 +28,26 @@ def _frozen_array(values) -> np.ndarray:
     return out
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer and not a bool.  An exact int, the
+    common case, skips the ``numbers.Integral`` check, which goes through
+    the ABC machinery."""
+    return type(value) is int or (
+        not isinstance(value, bool) and isinstance(value, numbers.Integral)
+    )
+
+
 def _check_count(name: str, value, minimum: int) -> None:
     """Raise ConfigurationError unless ``value`` is an integer (not a bool)
     at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+    if not _is_integer(value) or value < minimum:
         raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _check_index(name: str, value, size: int) -> None:
     """Raise InputError unless ``value`` is an integer (not a bool) in
     [0, size)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_integer(value):
         raise InputError(f"{name} must be an integer, got {value!r}")
     if not 0 <= value < size:
         raise InputError(f"{name} {value} out of range [0, {size})")

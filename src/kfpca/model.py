@@ -14,6 +14,7 @@ schema-1 documents load).
 """
 
 import json
+import math
 import numbers
 import os
 import tempfile
@@ -94,6 +95,12 @@ class FitConfig:
         object.__setattr__(self, "degenerate_tol", float(self.degenerate_tol))
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether every element is finite; on the small arrays of a model,
+    counting is cheaper than ``np.isfinite(values).all()``."""
+    return np.count_nonzero(np.isfinite(values)) == values.size
+
+
 def _eigenfunction_array(grid: Grid, values) -> np.ndarray:
     """``values`` as a read-only K x d array of finite numbers, K >= 1 and d
     the size of ``grid``; DimensionError or InputError otherwise."""
@@ -102,7 +109,7 @@ def _eigenfunction_array(grid: Grid, values) -> np.ndarray:
         raise DimensionError(
             f"eigenfunctions must be a K x {grid.size} matrix with K >= 1"
         )
-    if not np.isfinite(rows).all():
+    if not _all_finite(rows):
         raise InputError("eigenfunction values must be finite")
     return rows
 
@@ -123,19 +130,23 @@ class FpcaModel:
 
     def __post_init__(self):
         phi = _eigenfunction_array(self.grid, self.eigenfunction_values)
+        ev = _frozen_array(self.operator_eigenvalues)
+        scores = _frozen_array(self.scores)
         object.__setattr__(self, "eigenfunction_values", phi)
-        for name in ("operator_eigenvalues", "scores"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
+        object.__setattr__(self, "operator_eigenvalues", ev)
+        object.__setattr__(self, "scores", scores)
         k = len(phi)
-        if self.operator_eigenvalues.shape != (k,):
+        if ev.shape != (k,):
             raise DimensionError(f"need {k} operator eigenvalues")
         # N >= 2 keeps component_variances (divisor N - 1) defined
-        if self.scores.ndim != 2 or self.scores.shape[0] < 2 or self.scores.shape[1] != k:
+        if scores.ndim != 2 or scores.shape[0] < 2 or scores.shape[1] != k:
             raise DimensionError(f"scores must be an N x {k} matrix with N >= 2")
-        ev = self.operator_eigenvalues
-        if (ev[1:] > ev[:-1]).any():
+        # K is small, so the eigenvalues are checked as Python floats: a
+        # numpy call costs more than the work on a few elements
+        values = ev.tolist()
+        if any(b > a for a, b in zip(values, values[1:])):
             raise InputError("operator eigenvalues must be non-increasing")
-        if not (np.isfinite(ev).all() and np.isfinite(self.scores).all()):
+        if not (all(map(math.isfinite, values)) and _all_finite(scores)):
             raise InputError("eigenvalues and scores must be finite")
 
     @property

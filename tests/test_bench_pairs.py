@@ -1,5 +1,7 @@
-"""The pair summarizer of tools/bench_pairs.py on fixed numbers."""
+"""The pair summarizer of tools/bench_pairs.py on fixed numbers, and its
+handling of a failed run in a fake tree."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
+import bench_pairs  # noqa: E402
 from bench_pairs import summarize_metric, summarize_workload  # noqa: E402
 
 PARENT = [1.30, 1.32, 1.28, 1.35, 1.31, 1.29, 1.33, 1.30, 1.34, 1.31]
@@ -72,3 +75,44 @@ def test_workload_entry():
     metric = entry["metrics"]["op_ms_p50"]
     assert (metric["unit"], metric["better"], metric["bound"]) == ("ms", "lower", 0.25)
     assert metric["change_wins"] == 9
+
+
+PASSING_RUN = """
+import json
+env = {"nproc": 1, "blas": "x", "blas_threads": 1, "numpy": "x", "scipy": "x", "python": "x"}
+print("env " + json.dumps(env))
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"op_ms_p50": {"value": 1.0, "unit": "ms"}}}))
+"""
+
+FAILING_RUN = """
+import sys
+for i in range(30):
+    print(f"stderr line {i}", file=sys.stderr)
+sys.exit(1)
+"""
+
+
+def fake_tree(path, run_py):
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(run_py)
+    return path
+
+
+def test_failed_run_is_reported_and_nothing_is_written(tmp_path, monkeypatch, capsys):
+    # the parent side (run first in pair 0) passes, the working tree fails
+    root = fake_tree(tmp_path / "change", FAILING_RUN)
+    spec = [{"name": "op_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25}]
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": spec, "run_seconds": 1}))
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    monkeypatch.setattr(bench_pairs, "snapshot", lambda rev, into: fake_tree(into, PASSING_RUN))
+    argv = ["--parent", "HEAD", "--pr", "99", "--pairs", "2", "--first-seed", "5", "cli_smooth"]
+    assert bench_pairs.main(argv) == 1
+    printed = capsys.readouterr()
+    assert "cli_smooth seed 5 parent: op_ms_p50 1.0000" in printed.out
+    err = printed.err
+    assert "cli_smooth seed 5 change: run failed, BENCH_99.json not written" in err
+    assert "exit code 1" in err
+    assert "stderr line 10" in err and "stderr line 29" in err
+    assert "stderr line 9\n" not in err
+    assert not (root / "BENCH_99.json").exists()

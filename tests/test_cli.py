@@ -3,9 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kfpca import SimulationScenario, generate, load_model
-from kfpca.cli import main, read_dataset
+from kfpca.cli import _read_dataset, main, read_dataset
 from kfpca.errors import ParseError
 
 
@@ -85,6 +87,20 @@ class TestReadDataset:
         path.write_text("id,0,1,2\na, 1.5 ,1e3,1_0\nb,-0.25,+2,.5E-1\n")
         assert read_dataset(path).values.tolist() == [[1.5, 1000.0, 10.0], [-0.25, 2.0, 0.05]]
 
+    @pytest.mark.parametrize(
+        "first_cell, first_value", [("1", 1.0), ("1_0", 10.0)], ids=["c-reader", "row-reader"]
+    )
+    @pytest.mark.parametrize("lead", ["id,", ""], ids=["before-id", "before-grid-time"])
+    def test_utf8_bom_is_skipped(self, tmp_path, lead, first_cell, first_value):
+        # Excel's "CSV UTF-8" starts the file with a byte order mark
+        id_cell = "s," if lead else ""
+        text = f"{lead}0,1,2\n{id_cell}{first_cell},2,3\n{id_cell}4,5,6\n"
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        sample = read_dataset(path)
+        assert sample.grid.points.tolist() == [0.0, 1.0, 2.0]
+        assert sample.values.tolist() == [[first_value, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
     def test_minimum_shape_enforced(self, tmp_path, capsys):
         # fit needs 4 grid points and 3 curves; read_dataset leaves that to it
         path = tmp_path / "narrow.csv"
@@ -95,6 +111,104 @@ class TestReadDataset:
         path2.write_text("0,1,2,3\n1,2,3,4\n5,6,7,8\n")
         assert main(["fit", str(path2), "--out", str(tmp_path / "m.json")]) == 2
         assert "at least 3 curves" in capsys.readouterr().err
+
+
+# Cells both readers take, with spellings only Python's float takes
+# (underscores, non-ASCII digits), then cells and separators the two may
+# treat differently: quotes, NUL, bare CR, whitespace, empty cells, "#",
+# nan/inf and a stray BOM.
+NUMBERS = st.sampled_from([
+    "0.5", "2", "-1e-3", "+.5E-1", " 1 ", "\t4\t", "1\u2003", "\xa07", "1_0", "\u0661",
+    "\u0662.5", "-0", "1e-320", "123456789012345678901234567890", '"3"', '"1\n"', '"1\r"',
+    '"1"2', '"-4"  ',
+])
+CELLS = NUMBERS | st.sampled_from([
+    "nan", "-inf", "Infinity", "1e500", "", " ", '"', '""', '1"2', '"1,2"', '"1""2"', "#",
+    "1#2", "\x00", "1\x00", "\ufeff1", "0x10", "1 2", "id", "s1",
+])
+CELL_TEXT = st.text(alphabet='0123456789.e-+ ,"\x00\r\n\t_#\u0661naif', max_size=4)
+ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def dataset_texts(draw):
+    """CSV texts near the dataset format: a grid header, optionally led by an
+    id column, over rows of drawn cells that mostly have the header's
+    width, with blank, whitespace-only and stray lines between them."""
+    d = draw(st.integers(2, 4))
+    has_id = draw(st.booleans())
+    clean = draw(st.booleans())  # rows of numbers at the header's width only
+    header = [str(t) for t in range(d)]
+    if draw(st.booleans()):
+        header[draw(st.integers(0, d - 1))] = draw(CELLS | CELL_TEXT)
+    lines = [",".join((["id"] if has_id else []) + header)]
+    for _ in range(draw(st.integers(0, 5))):
+        kinds = ["row"] * 5 + ["blank"] + ([] if clean else ["space", "free"])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "  ", "\t", "\x00"])))
+        elif kind == "free":
+            lines.append(draw(CELL_TEXT))
+        else:
+            width = d + has_id + (0 if clean else draw(st.sampled_from([0, 0, 0, -1, 1])))
+            cells = [
+                draw(st.sampled_from(["a", "s0", '"x,y"', ""]))
+                if has_id and i == 0
+                else draw(NUMBERS if clean else CELLS | CELL_TEXT)
+                for i in range(width)
+            ]
+            lines.append(",".join(cells))
+    ends = [draw(ENDS) for _ in lines]
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def read_outcome(read, path):
+    """Array bytes and shapes of a read, or the class and message it raised."""
+    try:
+        sample = read(path)
+    except Exception as exc:  # noqa: BLE001 -- the class is part of the outcome
+        return type(exc), str(exc)
+    return sample.grid.points.tobytes(), sample.values.tobytes(), sample.values.shape
+
+
+class TestReaderAgreement:
+    """The C-reader path of read_dataset against the row-by-row reader it
+    falls back to."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=dataset_texts())
+    def test_same_array_or_same_error(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        row_by_row = read_outcome(lambda p: _read_dataset(p, fast=False), path)
+        assert read_outcome(read_dataset, path) == row_by_row
+
+    def test_fast_path_reads_the_benchmark_shape_bit_identically(self, tmp_path):
+        scenario = SimulationScenario(distribution="skew_t", n_subjects=40, n_points=31, seed=5)
+        sample = generate(scenario, 0).sample
+        path = tmp_path / "data.csv"
+        write_dataset(path, sample, with_id=True)
+        fast = _read_dataset(path, fast=True)
+        assert fast is not None
+        assert fast.values.tobytes() == sample.values.tobytes()
+        assert fast.grid.points.tobytes() == sample.grid.points.tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["id,0,1\na,1,2,\nb,3,4,\n", "0,1\n1,2\n  \n3,4\n", "0,1\n1_0,2\n3,4\n",
+         "0,1\n", "0,1\n1,\n3,4\n"],
+        ids=["trailing-cell", "whitespace-line", "underscore", "no-rows", "empty-cell"],
+    )
+    def test_c_reader_refuses_what_the_row_reader_must_judge(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        assert _read_dataset(path, fast=True) is None
 
 
 class TestCmdFit:

@@ -336,6 +336,16 @@ class TestDeriveRng:
         b = derive_rng(9, 4, 0).standard_normal(8)
         assert not np.array_equal(a, b)
 
+    def test_numpy_integers_give_the_int_stream(self):
+        a = derive_rng(9, 3, 0).standard_normal(8)
+        b = derive_rng(np.int64(9), np.int32(3), np.uint8(0)).standard_normal(8)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("key", [True, np.bool_(False), 1.0, np.float64(2.0), "3", None])
+    def test_non_integer_key_rejected(self, key):
+        with pytest.raises(ConfigurationError, match="each key must be an integer >= 0"):
+            derive_rng(9, key)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError):
             derive_rng(-1, 0)

@@ -303,6 +303,53 @@ class TestPairSumProperties:
         assert np.abs(kernel - pairwise_reference(values, w)).max() < 1e-12
 
 
+@st.composite
+def affine_maps(draw):
+    """A Gaussian sample X (N in [3, 30], d in [4, 20]) with a scale a of
+    either sign, |a| in [1e-3, 1e3], and a shift curve c whose entries have
+    magnitude in [1e2, 1e8]."""
+    rng = derive_rng(draw(st.integers(0, 2**32 - 1)), 0)
+    n, d = draw(st.integers(3, 30)), draw(st.integers(4, 20))
+    sample = FunctionalSample(make_regular_grid(0, 1, d), rng.standard_normal((n, d)))
+    a = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3, 3))
+    offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(2, 8))
+    shift = offset * (1.0 + 0.5 * rng.uniform(-1.0, 1.0, d))
+    return sample, a, shift
+
+
+class TestAffineInvarianceProperty:
+    """kendall_tau_hat is invariant to X -> a X + c and covariance_hat scales
+    by a^2, to the rounding of a X + c: entries of size |c| are stored to
+    eps |c|, against a spread of |a| sd(X)."""
+
+    @staticmethod
+    def tolerance(sample, a, shift):
+        eps = np.finfo(float).eps
+        return 1e-12 + 10 * eps * np.abs(shift).max() / (abs(a) * sample.values.std())
+
+    @staticmethod
+    def relative_error(got, want):
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(drawn=affine_maps())
+    def test_kendall_tau_is_invariant(self, drawn):
+        sample, a, shift = drawn
+        moved = FunctionalSample(sample.grid, a * sample.values + shift)
+        k0 = kendall_tau_hat(sample).matrix
+        k1 = kendall_tau_hat(moved).matrix
+        assert self.relative_error(k1, k0) <= self.tolerance(sample, a, shift)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(drawn=affine_maps())
+    def test_covariance_scales_by_a_squared(self, drawn):
+        sample, a, shift = drawn
+        moved = FunctionalSample(sample.grid, a * sample.values + shift)
+        g0 = a**2 * covariance_hat(sample).matrix
+        g1 = covariance_hat(moved).matrix
+        assert self.relative_error(g1, g0) <= self.tolerance(sample, a, shift)
+
+
 class TestCovarianceHat:
     def test_identical_curves_zero_matrix(self):
         g = make_regular_grid(0, 1, 5)

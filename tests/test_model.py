@@ -530,6 +530,38 @@ class TestSerialization:
             FpcaModel(model.mean, np.empty((0, 51)), [], np.empty((60, 0)), model.config)
 
     @pytest.mark.parametrize(
+        "change, error, message",
+        [
+            (lambda a: {**a, "ev": a["ev"][:1]}, DimensionError, "need 2 operator eigenvalues"),
+            (lambda a: {**a, "scores": a["scores"][:, :1]}, DimensionError,
+             "scores must be an N x 2 matrix with N >= 2"),
+            (lambda a: {**a, "scores": a["scores"][:1]}, DimensionError,
+             "scores must be an N x 2 matrix with N >= 2"),
+            (lambda a: {**a, "ev": a["ev"][::-1]}, InputError,
+             "operator eigenvalues must be non-increasing"),
+            (lambda a: {**a, "ev": np.array([np.nan, 1.0])}, InputError,
+             "eigenvalues and scores must be finite"),
+            (lambda a: {**a, "ev": np.array([1.0, np.inf])}, InputError,
+             "operator eigenvalues must be non-increasing"),
+            (lambda a: {**a, "ev": np.array([np.inf, 1.0])}, InputError,
+             "eigenvalues and scores must be finite"),
+            (lambda a: {**a, "scores": np.where(a["scores"] > 0, a["scores"], -np.inf)},
+             InputError, "eigenvalues and scores must be finite"),
+            (lambda a: {**a, "phi": np.where(a["phi"] > 0, a["phi"], np.nan)}, InputError,
+             "eigenfunction values must be finite"),
+        ],
+        ids=["eigenvalue-count", "score-width", "one-subject", "increasing", "nan-eigenvalue",
+             "inf-last-eigenvalue", "inf-first-eigenvalue", "inf-score", "nan-eigenfunction"],
+    )
+    def test_constructor_refusals(self, change, error, message):
+        model = fit(noisy_sample(seed=22), FitConfig(n_components=2))
+        parts = change({"phi": np.array(model.eigenfunction_values),
+                        "ev": np.array(model.operator_eigenvalues),
+                        "scores": np.array(model.scores)})
+        with pytest.raises(error, match=f"^{message}$"):
+            FpcaModel(model.mean, parts["phi"], parts["ev"], parts["scores"], model.config)
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("n_components", 2.5),

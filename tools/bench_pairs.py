@@ -13,6 +13,8 @@ the working tree, uncommitted edits included.  Pair i uses seed
 in a fresh process, one at a time, and the parent runs first on even pairs.
 The run length (``run_seconds``) and each workload's end-to-end metrics,
 with their direction and bound, come from the working tree's BENCHMARK.json.
+If a run exits non-zero, its workload, side, seed, exit code and last 20
+stderr lines are printed and the script exits 1 without writing the file.
 """
 
 import argparse
@@ -90,13 +92,23 @@ def summarize_workload(seeds, results, spec) -> dict:
     }
 
 
+class RunFailed(Exception):
+    """A benchmark run exited non-zero; the message says which run and
+    holds the last lines of its stderr."""
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float):
-    """The result line and the environment of one benchmark run in ``tree``."""
-    out = subprocess.run(
+    """The result line and the environment of one benchmark run in ``tree``;
+    RunFailed if the run exits non-zero."""
+    proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
          str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, check=True, capture_output=True, text=True,
-    ).stdout.splitlines()
+        cwd=tree, capture_output=True, text=True,
+    )
+    if proc.returncode:
+        tail = "\n".join(proc.stderr.splitlines()[-20:])
+        raise RunFailed(f"exit code {proc.returncode}; last stderr lines:\n{tail}")
+    out = proc.stdout.splitlines()
     env = next(json.loads(line[4:]) for line in out if line.startswith("env "))
     return json.loads(out[-1]), env
 
@@ -127,6 +139,7 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     spec, seconds = bench["end_to_end"], bench["run_seconds"]
     seeds = range(args.first_seed, args.first_seed + args.pairs)
+    out = ROOT / f"BENCH_{args.pr}.json"
     summaries = {}
     env = None
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -136,7 +149,12 @@ def main(argv=None) -> int:
             results = {s: [] for s in SIDES}
             for i, seed in enumerate(seeds):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    line, env = run_once(trees[side], workload, seed, seconds)
+                    try:
+                        line, env = run_once(trees[side], workload, seed, seconds)
+                    except RunFailed as exc:
+                        print(f"{workload} seed {seed} {side}: run failed, "
+                              f"{out.name} not written: {exc}", file=sys.stderr)
+                        return 1
                     results[side].append(line)
                     print(f"{workload} seed {seed} {side}: op_ms_p50 "
                           f"{line['metrics']['op_ms_p50']['value']:.4f}", flush=True)
@@ -156,7 +174,6 @@ def main(argv=None) -> int:
                 f"Python {env['python']}; one benchmark process at a time",
     }
     report = {"what": args.what, "method": method, "workloads": summaries}
-    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out.name}")
     return 0
