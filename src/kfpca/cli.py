@@ -105,18 +105,18 @@ def _parse_rows(path, rows, d, start) -> np.ndarray:
     """The remaining CSV ``rows`` as an N x d array, each row converted as
     it is read; blank rows are skipped."""
     values = []
-    for line, row in enumerate(rows, 2):
+    for row in rows:
         if not row:
             continue
         if len(row) - start != d:
             raise ParseError(
-                f"{path}: line {line}: expected {d + start} cells, got {len(row)}",
+                f"{path}: line {rows.line_num}: expected {d + start} cells, got {len(row)}",
                 path=str(path),
             )
         try:
             values.append(np.fromiter(map(float, row[start:]), float, count=d))
         except ValueError:  # parse again cell by cell to name the bad one
-            values.append(np.fromiter(_parse_cells(path, row, line, start), float, count=d))
+            values.append(np.fromiter(_parse_cells(path, row, rows.line_num, start), float, d))
     return np.array(values).reshape(len(values), d)
 
 

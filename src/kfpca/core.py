@@ -203,45 +203,45 @@ def _weighted_dots(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ weights)[:, 0]
 
 
-def _local_linear_matrix(points: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Smoother matrix of a Gaussian local-linear fit (rows sum to one).
+def _local_linear_matrix(dt, bandwidth: float, k, s) -> float:
+    """Fill ``s`` with the smoother matrix of a Gaussian local-linear fit and
+    return its trace; ``dt`` holds points[j] - points[i], ``k`` is work space.
 
-    Row j holds the weights producing the fit at points[j]; the closed
-    form reproduces constants and linears exactly at any bandwidth.
+    Row i, the fit at points[i], is a_i K_i - b_i (K o dt)_i, where s_m are
+    the row sums of K o dt^m, a = s2/denom, b = s1/denom, denom = s0 s2 - s1^2.
+    It reproduces constants and linears at any bandwidth; the trace is sum(a).
 
-    Weights below the smallest normal double (about 2.2e-308) are set to
-    zero in the finished matrix. Far from the diagonal the Gaussian kernel
-    leaves subnormal entries at small bandwidths, and a matrix product
-    that meets them takes a slow path about ten times slower. Each dropped
-    weight is below the last bit of any fitted value not itself near
-    1e-290, so fitted values do not change. The kernel is not flushed
-    before the row sums, which keeps every normal entry as it was.
+    Where the bandwidth leaves weights below 2^54 d tiny (tiny = 2.2e-308,
+    the smallest normal double), weights with exponent below ln(tiny) are 0
+    without an exp call and entries of S below tiny are set to 0, since exp
+    on such arguments and a product meeting subnormals each run about ten
+    times slower; no fitted value not itself near 1e-290 moves.  Elsewhere
+    S has no such entry, as a >= 1/s0 >= 1/d; the least weight is at dt[0, -1].
     """
     tiny = np.finfo(float).tiny
-    # two d x d work arrays, filled in place in the closed form's order
-    dt = points[None, :] - points[:, None]
-    k = np.divide(dt, bandwidth)
-    np.multiply(k, k, out=k)
-    np.multiply(k, -0.5, out=k)
-    np.exp(k, out=k)
+    np.divide(dt, bandwidth, out=s)
+    np.multiply(s, s, out=s)
+    np.multiply(s, -0.5, out=s)
+    underflows = -0.5 * (dt[0, -1] / bandwidth) ** 2 < np.log(2.0**54 * len(dt) * tiny)
+    if underflows:
+        k.fill(0.0)
+    np.exp(s, out=k, where=s >= np.log(tiny) if underflows else True)
     s0 = k.sum(axis=1)
-    s = np.multiply(k, dt)
+    np.multiply(k, dt, out=s)
     s1 = s.sum(axis=1)
-    np.multiply(s, dt, out=s)
-    s2 = s.sum(axis=1)
-    np.multiply(dt, s1[:, None], out=s)
-    np.subtract(s2[:, None], s, out=s)
-    np.multiply(k, s, out=s)
+    s2 = np.einsum("ij,ij->i", s, dt)
     denom = s0 * s2 - s1 * s1
     # Tiny bandwidths concentrate all mass on one point and the local-linear
-    # system degenerates; fall back to a local-constant fit there.
+    # system degenerates; fall back to a local-constant fit (a = 1/s0, b = 0).
     bad = denom <= tiny * np.maximum(s0 * s2, 1.0)
-    if np.any(bad):
-        s[bad] = k[bad]
-        denom = np.where(bad, s0, denom)
-    np.divide(s, denom[:, None], out=s)
-    s[np.abs(s, out=k) < tiny] = 0.0
-    return s
+    s2[bad], s1[bad], denom[bad] = 1.0, 0.0, s0[bad]
+    a, b = s2 / denom, s1 / denom
+    np.multiply(s, b[:, None], out=s)
+    np.multiply(k, a[:, None], out=k)
+    np.subtract(k, s, out=s)
+    if underflows:
+        s[np.abs(s, out=k) < tiny] = 0.0
+    return float(a.sum())
 
 
 def gcv_bandwidth_candidates(grid: Grid) -> np.ndarray:
@@ -259,19 +259,19 @@ def smooth_rows(grid: Grid, values: np.ndarray, bandwidth="auto") -> np.ndarray:
     over a fixed log-spaced candidate set (on ties the smaller bandwidth).
     Raises EstimationError if no candidate gives a row a finite score.
     """
-    pts = grid.points
     bandwidth = _check_bandwidth("bandwidth", bandwidth)
+    dt = grid.points[None, :] - grid.points[:, None]
+    k, s = np.empty_like(dt), np.empty_like(dt)
     if bandwidth != "auto":
-        return values @ _local_linear_matrix(pts, bandwidth).T
-    # one candidate smoother and one fitted block at a time
+        _local_linear_matrix(dt, bandwidth, k, s)
+        return values @ s.T
     d = grid.size
     out = np.empty_like(values)
     fitted = np.empty_like(values)
     resid = np.empty_like(values)
     best = np.full(values.shape[0], np.inf)
     for cand in gcv_bandwidth_candidates(grid):
-        s = _local_linear_matrix(pts, cand)
-        df = d - float(np.trace(s))
+        df = d - _local_linear_matrix(dt, cand, k, s)
         if df < 1e-8:
             continue
         np.matmul(values, s.T, out=fitted)

@@ -73,13 +73,26 @@ class TestReadDataset:
             ("id,0,1,2\na,1,2,3\nb,x,5,6\n", 3, 2),
             ("id,0,1,2\na,1,2,3\nb,4,5,6\nc,7,8,nan?\n", 4, 4),
             ("0,1,2\n1,2,3\n4,5,\n", 3, 3),
+            # a quoted cell spans two lines, so the bad cell is on line 4
+            ('0,1\n"1\n",2\nx,3\n', 4, 1),
         ],
-        ids=["first-data-column-after-id", "last-column", "empty-last-cell"],
+        ids=["first-data-column-after-id", "last-column", "empty-last-cell",
+             "after-quoted-newline"],
     )
     def test_bad_cell_is_named_by_line_and_column(self, tmp_path, text, line, column):
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(ParseError, match=f"line {line}, column {column}:"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "text", ["0,1\n1,2\n3\n", '0,1\n"1\n",2\n3\n'], ids=["plain", "after-quoted-newline"]
+    )
+    def test_row_of_wrong_width_is_named_by_its_line(self, tmp_path, text):
+        path = tmp_path / "short.csv"
+        path.write_text(text)
+        line = text.count("\n")
+        with pytest.raises(ParseError, match=f"line {line}: expected 2 cells, got 1"):
             read_dataset(path)
 
     def test_cells_parse_as_python_floats(self, tmp_path):

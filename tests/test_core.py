@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
 from kfpca.core import (
     _local_linear_matrix,
@@ -7,19 +9,25 @@ from kfpca.core import (
     gcv_bandwidth_candidates,
     smooth_rows,
 )
+from kfpca.simgen import CASES, DISTRIBUTIONS
 from kfpca import (
     ConfigurationError,
     Curve,
     DimensionError,
     EstimationError,
+    FitConfig,
     FunctionalSample,
     Grid,
     InputError,
+    SimulationScenario,
     derive_rng,
+    fit,
+    generate,
     inner_product,
     make_regular_grid,
     true_eigenfunctions,
 )
+from smoother_oracle import longdouble_local_linear_matrix, numerator_local_linear_matrix
 
 
 def fine_quadrature(fn, a=0.0, b=10.0, d=20001):
@@ -28,13 +36,21 @@ def fine_quadrature(fn, a=0.0, b=10.0, d=20001):
     return np.trapezoid(fn(t), t)
 
 
+def local_linear_matrix(points, bandwidth):
+    """The library's smoother matrix, built in a fresh workspace."""
+    dt = points[None, :] - points[:, None]
+    s = np.empty_like(dt)
+    _local_linear_matrix(dt, bandwidth, np.empty_like(dt), s)
+    return s
+
+
 def smooth_reference(grid, y, bandwidth):
     """Per-curve matrix-vector smoother: the first GCV minimizer wins."""
     if bandwidth != "auto":
-        return _local_linear_matrix(grid.points, bandwidth) @ y
+        return local_linear_matrix(grid.points, bandwidth) @ y
     best, best_score = None, np.inf
     for cand in gcv_bandwidth_candidates(grid):
-        s = _local_linear_matrix(grid.points, cand)
+        s = local_linear_matrix(grid.points, cand)
         resid = y - s @ y
         df = y.size - np.trace(s)
         score = y.size * (resid @ resid) / df**2 if df >= 1e-8 else np.inf
@@ -241,18 +257,47 @@ class TestSmoothCurve:
 
 
 def unflushed_local_linear_matrix(points, bandwidth):
-    """The closed-form local-linear smoother with its subnormal weights kept."""
+    """The library's closed form with a plain exp and no flush, so that its
+    subnormal weights are kept."""
     dt = points[None, :] - points[:, None]
-    k = np.exp(-0.5 * (dt / bandwidth) ** 2)
+    k = np.exp((dt / bandwidth) ** 2 * -0.5)
     s0 = k.sum(axis=1)
-    s1 = (k * dt).sum(axis=1)
-    s2 = (k * dt * dt).sum(axis=1)
-    numer = k * (s2[:, None] - dt * s1[:, None])
+    kdt = k * dt
+    s1 = kdt.sum(axis=1)
+    s2 = np.einsum("ij,ij->i", kdt, dt)
     denom = s0 * s2 - s1 * s1
     bad = denom <= np.finfo(float).tiny * np.maximum(s0 * s2, 1.0)
-    numer[bad] = k[bad]
     denom = np.where(bad, s0, denom)
-    return numer / denom[:, None]
+    a = np.where(bad, 1.0, s2) / denom
+    b = np.where(bad, 0.0, s1) / denom
+    return a[:, None] * k - b[:, None] * kdt
+
+
+def gcv_fit(matrix, grid, values):
+    """The GCV fit of each row as a loop over the candidates, with the
+    smoother matrices ``matrix(points, bandwidth)`` builds; returns the
+    fitted rows and each row's pick as an index into the candidates."""
+    d = grid.size
+    out = np.empty_like(values)
+    best = np.full(values.shape[0], np.inf)
+    pick = np.full(values.shape[0], -1)
+    for i, cand in enumerate(gcv_bandwidth_candidates(grid)):
+        s = matrix(grid.points, cand)
+        df = d - float(np.trace(s))
+        if df < 1e-8:
+            continue
+        fitted = values @ s.T
+        resid = values - fitted
+        score = d * np.einsum("ij,ij->i", resid, resid) / df**2
+        better = score < best
+        best[better] = score[better]
+        out[better] = fitted[better]
+        pick[better] = i
+    return out, pick
+
+
+def count_subnormal(s) -> int:
+    return np.count_nonzero((s != 0) & (np.abs(s) < np.finfo(float).tiny))
 
 
 SMOOTHER_GRIDS = [make_regular_grid(0, 10, d) for d in (11, 51, 101, 401)] + [
@@ -260,41 +305,109 @@ SMOOTHER_GRIDS = [make_regular_grid(0, 10, d) for d in (11, 51, 101, 401)] + [
 ]
 
 
+def noisy_rows(grid, seed):
+    """40 rows on ``grid``, smooth to rough, so GCV picks several bandwidths."""
+    rng = derive_rng(seed, 0)
+    values = np.sin(grid.points) + 0.3 * rng.standard_normal((40, grid.size))
+    values[::4] = rng.standard_normal((10, grid.size))
+    return values
+
+
+def paper_rows(case, distribution):
+    """What a fit with both smoothers smooths on paper data: the curves of
+    one run, then the K=2 eigenfunctions of their unsmoothed fit."""
+    sample = generate(SimulationScenario(case=case, distribution=distribution), 0).sample
+    phi = fit(sample, FitConfig(n_components=2)).eigenfunction_values
+    return sample.grid, np.vstack([sample.values, phi])
+
+
 class TestLocalLinearMatrix:
     @pytest.mark.parametrize("grid", SMOOTHER_GRIDS, ids=lambda g: f"d{g.size}")
     def test_unflushed_closed_form_with_subnormal_weights_zeroed(self, grid):
         tiny = np.finfo(float).tiny
+        dt = grid.points[None, :] - grid.points[:, None]
         line = 2.0 * grid.points - 3.0
         for cand in list(gcv_bandwidth_candidates(grid)) + [0.01, 1.0]:
             full = unflushed_local_linear_matrix(grid.points, cand)
-            normal = np.abs(full) >= tiny
-            s = _local_linear_matrix(grid.points, cand)
-            assert np.array_equal(s[normal], full[normal])
-            assert np.all(s[~normal] == 0.0)
+            # weights whose exponent is below ln(tiny) are dropped before exp
+            kept = (np.abs(full) >= tiny) & ((dt / cand) ** 2 * -0.5 >= np.log(tiny))
+            s = local_linear_matrix(grid.points, cand)
+            assert np.array_equal(s[kept], full[kept])
+            assert np.all(s[~kept] == 0.0)
             assert np.allclose(s.sum(axis=1), 1.0, rtol=0, atol=1e-12)
             assert np.allclose(s @ line, line, rtol=0, atol=1e-9)
 
+    def test_trace_is_returned_with_the_matrix(self):
+        grid = SMOOTHER_GRIDS[-1]
+        dt = grid.points[None, :] - grid.points[:, None]
+        k, s = np.empty_like(dt), np.empty_like(dt)
+        for cand in gcv_bandwidth_candidates(grid):
+            assert _local_linear_matrix(dt, cand, k, s) == np.trace(s)
+
     def test_gcv_fit_matches_the_unflushed_loop_bit_for_bit(self):
         grid = make_regular_grid(0, 10, 101)
-        rng = derive_rng(2024, 0)
-        values = np.sin(grid.points) + 0.3 * rng.standard_normal((40, 101))
-        values[::4] = rng.standard_normal((10, 101))
-        d = grid.size
-        out = np.empty_like(values)
-        best = np.full(values.shape[0], np.inf)
-        subnormal = 0
-        for cand in gcv_bandwidth_candidates(grid):
-            s = unflushed_local_linear_matrix(grid.points, cand)
-            subnormal += np.count_nonzero((s != 0) & (np.abs(s) < np.finfo(float).tiny))
-            df = d - float(np.trace(s))
-            fitted = values @ s.T
-            resid = values - fitted
-            score = d * np.einsum("ij,ij->i", resid, resid) / df**2
-            better = score < best
-            best[better] = score[better]
-            out[better] = fitted[better]
+        values = noisy_rows(grid, 2024)
+        subnormal = sum(
+            count_subnormal(unflushed_local_linear_matrix(grid.points, cand))
+            for cand in gcv_bandwidth_candidates(grid)
+        )
         assert subnormal > 0
+        out, _ = gcv_fit(unflushed_local_linear_matrix, grid, values)
         assert np.array_equal(smooth_rows(grid, values, "auto"), out)
+
+    @pytest.mark.parametrize(
+        "grid, values",
+        [(g, noisy_rows(g, 2024)) for g in SMOOTHER_GRIDS]
+        + [paper_rows(c, dist) for c in CASES for dist in DISTRIBUTIONS],
+        ids=[f"d{g.size}" for g in SMOOTHER_GRIDS]
+        + [f"case{c}-{dist}" for c in CASES for dist in DISTRIBUTIONS],
+    )
+    def test_same_gcv_picks_and_fits_as_the_numerator_form(self, grid, values):
+        _, picks = gcv_fit(local_linear_matrix, grid, values)
+        reference, reference_picks = gcv_fit(numerator_local_linear_matrix, grid, values)
+        assert np.array_equal(picks, reference_picks)
+        gap = np.abs(smooth_rows(grid, values, "auto") - reference).max(axis=1)
+        assert np.all(gap <= 1e-14 * np.abs(reference).max(axis=1))
+
+
+@st.composite
+def grids_and_bandwidths(draw):
+    """An irregular sorted grid of 5 to 200 points (neighbour gaps within a
+    factor 10 of each other, any scale, offset up to 1e6) and bandwidths from
+    its GCV range: the 20 candidates, whose small ones leave weights that
+    underflow once d >= 20, and one drawn between the end points."""
+    d = draw(st.integers(5, 200))
+    gaps = draw(st.lists(st.floats(0.1, 1.0), min_size=d - 1, max_size=d - 1))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    offset = draw(st.sampled_from([0.0, 1.0, -7.5, 1e3, 1e6, -1e6]))
+    grid = Grid(offset + scale * np.concatenate([[0.0], np.cumsum(gaps)]))
+    cands = gcv_bandwidth_candidates(grid)
+    share = draw(st.floats(0.0, 1.0))
+    return grid, [*cands, float(cands[0] * (cands[-1] / cands[0]) ** share)]
+
+
+class TestLocalLinearAccuracy:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(grid_and_bandwidths=grids_and_bandwidths())
+    def test_against_an_extended_precision_oracle(self, grid_and_bandwidths):
+        # The distance is pooled over the bandwidths: one matrix's rounding
+        # error is set by a few row sums, so the ratio of two single-matrix
+        # distances scatters past 2 on small grids for either form.
+        grid, bandwidths = grid_and_bandwidths
+        pts = grid.points
+        line = 2.0 * pts - 3.0
+        distance = reference = 0.0
+        for bandwidth in bandwidths:
+            s = local_linear_matrix(pts, bandwidth)
+            oracle = longdouble_local_linear_matrix(pts, bandwidth)
+            distance += np.sum((s - oracle) ** 2)
+            reference += np.sum((numerator_local_linear_matrix(pts, bandwidth) - oracle) ** 2)
+            assert np.abs(s.sum(axis=1) - 1.0).max() <= 1e-12
+            assert np.abs(s @ line - line).max() <= 1e-9 * np.abs(line).max()
+            assert count_subnormal(s) == 0
+        note(f"d={grid.size} distance {float(np.sqrt(distance)):.3e} "
+             f"reference {float(np.sqrt(reference)):.3e}")
+        assert np.sqrt(distance) <= 2 * np.sqrt(reference)
 
 
 class TestTypes:

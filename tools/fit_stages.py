@@ -1,0 +1,145 @@
+"""Print the CPU time of each stage of one ``kfpca fit`` at a given shape.
+
+Usage, from the repository root:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/fit_stages.py \
+        --n 200 --d 1441 --ncomp 3 --repeats 3
+
+The script writes N skew-t curves on d points (case 1 of the paper's design,
+seed 0) as a dataset CSV in a temporary directory and runs
+``kfpca fit --presmooth --eigen-smooth`` on it in-process, through
+``kfpca.cli.main``, ``--repeats`` times.  It prints the median process CPU
+time of each stage in ms:
+
+    read          cli.read_dataset
+    presmooth     model.smooth_rows
+    mean          model.mean_hat
+    kernel        model.kendall_tau_hat
+    eigen         model.eigen_decompose, less the eigen-smoothing inside it
+    eigen-smooth  eigen.smooth_rows
+    scores        model.project_scores
+    save          cli.save_model
+
+then ``other`` (argument parsing, checks, model assembly, printing) and the
+whole command.  The stages are timed from outside the library: for the runs,
+each function above is replaced on the module attribute the command calls it
+through by a wrapper that adds its CPU time to the stage, and the originals
+are put back afterwards.  Set ``OPENBLAS_NUM_THREADS=1`` (or your BLAS's
+variable) for one BLAS thread, as the benchmark runs.
+"""
+
+import argparse
+import contextlib
+import io
+import tempfile
+import time
+from collections import defaultdict
+from pathlib import Path
+
+import numpy as np
+
+import kfpca.cli as cli
+import kfpca.eigen as eigen
+import kfpca.model as model
+from kfpca.simgen import SimulationScenario, generate
+
+# (module, attribute, stage), in the order a fit runs them
+TARGETS = (
+    (cli, "read_dataset", "read"),
+    (model, "smooth_rows", "presmooth"),
+    (model, "mean_hat", "mean"),
+    (model, "kendall_tau_hat", "kernel"),
+    (model, "eigen_decompose", "eigen"),
+    (eigen, "smooth_rows", "eigen-smooth"),
+    (model, "project_scores", "scores"),
+    (cli, "save_model", "save"),
+)
+STAGES = tuple(stage for _, _, stage in TARGETS)
+
+
+class StageClock:
+    """Self CPU time per stage: a stage called inside another is taken out
+    of the outer one's time."""
+
+    def __init__(self):
+        self.ns = defaultdict(int)
+        self._children = []
+
+    def wrap(self, stage, fn):
+        def timed(*args, **kwargs):
+            self._children.append(0)
+            start = time.process_time_ns()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                elapsed = time.process_time_ns() - start
+                self.ns[stage] += elapsed - self._children.pop()
+                if self._children:
+                    self._children[-1] += elapsed
+
+        return timed
+
+
+@contextlib.contextmanager
+def wrapped(clock: StageClock):
+    originals = [(mod, name, getattr(mod, name)) for mod, name, _ in TARGETS]
+    try:
+        for (mod, name, stage), (_, _, fn) in zip(TARGETS, originals):
+            setattr(mod, name, clock.wrap(stage, fn))
+        yield
+    finally:
+        for mod, name, fn in originals:
+            setattr(mod, name, fn)
+
+
+def write_dataset(path, n: int, d: int):
+    scenario = SimulationScenario(case=1, distribution="skew_t", n_subjects=n, n_points=d, runs=1)
+    sample = generate(scenario, 0).sample
+    cli._write_csv(
+        path,
+        ["id"] + [repr(float(t)) for t in sample.grid.points],
+        ([f"s{i}"] + [repr(float(v)) for v in row] for i, row in enumerate(sample.values)),
+    )
+
+
+def stage_times(n: int, d: int, ncomp="3", repeats=1) -> dict:
+    """Median CPU ms of each stage, ``other`` and ``total`` over ``repeats``
+    runs of ``kfpca fit --presmooth --eigen-smooth`` on an N x d dataset."""
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = Path(tmp) / "data.csv", Path(tmp) / "model.json"
+        write_dataset(data, n, d)
+        argv = ["fit", str(data), "--ncomp", ncomp, "--presmooth", "--eigen-smooth",
+                "--out", str(out)]
+        for _ in range(repeats):
+            clock = StageClock()
+            with wrapped(clock), contextlib.redirect_stdout(io.StringIO()):
+                start = time.process_time_ns()
+                code = cli.main(argv)
+                total = time.process_time_ns() - start
+            if code != cli.EXIT_OK:
+                raise RuntimeError(f"kfpca fit exited {code}")
+            row = {stage: clock.ns[stage] / 1e6 for stage in STAGES}
+            row["other"] = total / 1e6 - sum(row.values())
+            row["total"] = total / 1e6
+            runs.append(row)
+    return {key: float(np.median([r[key] for r in runs])) for key in runs[0]}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n", type=int, default=200, help="curves")
+    parser.add_argument("--d", type=int, default=1441, help="grid points")
+    parser.add_argument("--ncomp", default="3", help="kfpca fit --ncomp")
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args(argv)
+    times = stage_times(args.n, args.d, args.ncomp, args.repeats)
+    print(f"kfpca fit --presmooth --eigen-smooth --ncomp {args.ncomp}, N={args.n}, "
+          f"d={args.d}: median CPU ms of {args.repeats} run(s)")
+    for stage, ms in times.items():
+        print(f"{stage:>13} {ms:10.1f} {100 * ms / times['total']:6.1f}%")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
