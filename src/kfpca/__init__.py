@@ -30,12 +30,10 @@ from .metrics import (
     RateDiagnostic,
     RunMetrics,
     aggregate,
-    alignment_sign,
     convergence_rate,
     evaluate_run,
     imse,
     run_scenario,
-    score_mse,
 )
 from .model import (
     FitConfig,
@@ -76,7 +74,6 @@ __all__ = [
     "SimulationScenario",
     "TruthBundle",
     "aggregate",
-    "alignment_sign",
     "bootstrap_mean_band",
     "convergence_rate",
     "covariance_hat",
@@ -97,7 +94,6 @@ __all__ = [
     "reconstruct",
     "run_scenario",
     "save_model",
-    "score_mse",
     "serialize_model",
     "true_eigenfunctions",
 ]

@@ -17,13 +17,18 @@ from .errors import ConfigurationError, DimensionError, EstimationError, InputEr
 GCV_CANDIDATE_COUNT = 20
 
 
-def _frozen_array(values) -> np.ndarray:
-    """A read-only copy of ``values``; InputError if they are not a
-    rectangular array of numbers."""
+def _float_array(values) -> np.ndarray:
+    """``values`` as a float array, not copied if they already are one;
+    InputError if they are not a rectangular array of numbers."""
     try:
-        out = np.array(values, dtype=float)
+        return np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"values are not a rectangular array of numbers: {exc}") from None
+
+
+def _frozen_array(values) -> np.ndarray:
+    """A read-only copy of ``values``, checked as ``_float_array`` checks."""
+    out = _float_array(values).copy()
     out.setflags(write=False)
     return out
 
@@ -211,21 +216,23 @@ def _local_linear_matrix(dt, bandwidth: float, k, s) -> float:
     the row sums of K o dt^m, a = s2/denom, b = s1/denom, denom = s0 s2 - s1^2.
     It reproduces constants and linears at any bandwidth; the trace is sum(a).
 
-    Where the bandwidth leaves weights below 2^54 d tiny (tiny = 2.2e-308,
-    the smallest normal double), weights with exponent below ln(tiny) are 0
-    without an exp call and entries of S below tiny are set to 0, since exp
-    on such arguments and a product meeting subnormals each run about ten
-    times slower; no fitted value not itself near 1e-290 moves.  Elsewhere
-    S has no such entry, as a >= 1/s0 >= 1/d; the least weight is at dt[0, -1].
+    Weights below the floor 2^54 d tiny (tiny = 2.2e-308, the smallest
+    normal double) are 0 without an exp call, since exp on such arguments
+    and a product meeting subnormals each run about ten times slower; no
+    fitted value not itself near 1e-290 moves.  As a >= 1/s0 >= 1/d, each
+    kept a K is at least 2^54 tiny, so every entry of S is 0 or at least
+    2 tiny and none is subnormal.  The least weight is at dt[0, -1]; only a
+    bandwidth that puts it below the floor pays for the mask.
     """
     tiny = np.finfo(float).tiny
+    floor = np.log(2.0**54 * len(dt) * tiny)
     np.divide(dt, bandwidth, out=s)
     np.multiply(s, s, out=s)
     np.multiply(s, -0.5, out=s)
-    underflows = -0.5 * (dt[0, -1] / bandwidth) ** 2 < np.log(2.0**54 * len(dt) * tiny)
+    underflows = -0.5 * (dt[0, -1] / bandwidth) ** 2 < floor
     if underflows:
         k.fill(0.0)
-    np.exp(s, out=k, where=s >= np.log(tiny) if underflows else True)
+    np.exp(s, out=k, where=s >= floor if underflows else True)
     s0 = k.sum(axis=1)
     np.multiply(k, dt, out=s)
     s1 = s.sum(axis=1)
@@ -239,8 +246,6 @@ def _local_linear_matrix(dt, bandwidth: float, k, s) -> float:
     np.multiply(s, b[:, None], out=s)
     np.multiply(k, a[:, None], out=k)
     np.subtract(k, s, out=s)
-    if underflows:
-        s[np.abs(s, out=k) < tiny] = 0.0
     return float(a.sum())
 
 

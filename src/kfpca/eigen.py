@@ -14,7 +14,7 @@ eigenfunction values (the eigenvalues are ``kernel.eigenvalues[:K]``), and
 
 import numpy as np
 
-from .core import Curve, FunctionalSample, _weighted_dots, smooth_rows
+from .core import Curve, FunctionalSample, _float_array, _weighted_dots, smooth_rows
 from .errors import DimensionError, EstimationError
 from .estimators import DiscretizedKernel
 
@@ -85,9 +85,10 @@ def project_scores(
     each eigenfunction, given as the rows of the K x d array ``phi``.
 
     Returns an N x K matrix with entry (i, k) equal to
-    <X_i - mean, phi_k>.
+    <X_i - mean, phi_k>.  InputError if ``phi`` is not a rectangular array
+    of numbers; DimensionError if its rows are not on the sample's grid.
     """
-    phi = np.asarray(phi, dtype=float)
+    phi = _float_array(phi)
     if (
         not sample.grid.matches(mean.grid)
         or phi.ndim != 2

@@ -5,7 +5,8 @@ first aligns signs; the same sign flips the matching score column, keeping
 eigenfunction and score errors consistent.  A Monte Carlo run generates its
 dataset once and every method is fitted on that one dataset with the public
 ``fit``; the run scores the model's K x d eigenfunction array and N x K
-score matrix as arrays.
+score matrix against the 2 x d truth array and the true scores that the
+run's ``TruthBundle`` carries.  ``imse`` scores one Curve against another.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Curve, _check_count, _require_same_grid, _weighted_dots
+from .core import Curve, _check_count, _float_array, _require_same_grid, _weighted_dots
 from .errors import ConfigurationError, InputError
 from .estimators import kendall_tau_hat
 from .model import METHODS, FitConfig, fit
@@ -38,10 +39,12 @@ class RunMetrics:
     method: str
 
     def __post_init__(self):
-        imse = np.asarray(self.imse, dtype=float)
-        mse = np.asarray(self.mse, dtype=float)
+        imse = _float_array(self.imse)
+        mse = _float_array(self.mse)
         object.__setattr__(self, "imse", imse)
         object.__setattr__(self, "mse", mse)
+        if imse.ndim != 1 or imse.shape != mse.shape:
+            raise InputError("imse and mse must be vectors of equal length")
         if not (np.all(np.isfinite(imse)) and np.all(np.isfinite(mse))):
             raise InputError("metrics must be finite")
         if np.any(imse < 0) or np.any(mse < 0):
@@ -58,7 +61,7 @@ class RateDiagnostic:
 
     def __post_init__(self):
         object.__setattr__(self, "sample_sizes", tuple(self.sample_sizes))
-        errs = np.asarray(self.sup_errors, dtype=float)
+        errs = _float_array(self.sup_errors)
         object.__setattr__(self, "sup_errors", errs)
         if np.any(np.diff(self.sample_sizes) <= 0):
             raise InputError("sample sizes must be increasing")
@@ -83,33 +86,11 @@ def _score_mses(est: np.ndarray, truth: np.ndarray, signs) -> np.ndarray:
     return np.ascontiguousarray((diff * diff).T).mean(axis=1)
 
 
-def _aligned_pair(estimated: Curve, truth: Curve):
-    """``_aligned_imses`` of one estimate against its truth on one grid."""
-    _require_same_grid(estimated.grid, truth.grid)
-    return _aligned_imses(estimated.values[None], truth.values[None], truth.grid.weights)
-
-
-def alignment_sign(estimated: Curve, truth: Curve) -> float:
-    """+1 or -1, whichever makes the inner product with truth >= 0.
-
-    A zero inner product keeps the input sign.
-    """
-    return float(_aligned_pair(estimated, truth)[0][0])
-
-
 def imse(estimated: Curve, truth: Curve) -> float:
     """Integrated squared error after sign alignment."""
-    return float(_aligned_pair(estimated, truth)[1][0])
-
-
-def score_mse(estimated: np.ndarray, truth: np.ndarray, eigenfunction_sign: float) -> float:
-    """Mean squared score error, with the eigenfunction's alignment sign
-    applied to the estimated scores so both flip together."""
-    est = np.asarray(estimated, dtype=float)
-    tru = np.asarray(truth, dtype=float)
-    if est.shape != tru.shape:
-        raise InputError("score vectors must have equal length")
-    return float(_score_mses(est.reshape(-1, 1), tru.reshape(-1, 1), eigenfunction_sign)[0])
+    _require_same_grid(estimated.grid, truth.grid)
+    _, err = _aligned_imses(estimated.values[None], truth.values[None], truth.grid.weights)
+    return float(err[0])
 
 
 # the two-component fit every Monte Carlo run makes
@@ -129,8 +110,7 @@ def _evaluate(
 ) -> list[RunMetrics]:
     """Generate run ``run_index`` once, then fit and score each config on it."""
     bundle = generate(scenario, run_index)
-    weights = bundle.sample.grid.weights
-    truth = scenario._design[2]  # the bundle's truth curves, stacked once
+    weights, truth = bundle.sample.grid.weights, bundle.true_eigenfunctions
     out = []
     for config in configs:
         model = fit(bundle.sample, config)
@@ -207,6 +187,8 @@ def aggregate(runs: list[RunMetrics]) -> dict[str, tuple[float, float]]:
     for r in runs[1:]:
         if r.scenario != first.scenario or r.method != first.method:
             raise InputError("runs must share one scenario and method")
+        if r.imse.size != first.imse.size:
+            raise InputError("runs must score the same number of components")
     table = {}
     for k in range(first.imse.size):
         for name, column in (
@@ -230,7 +212,10 @@ def convergence_rate(
     everything noiseless; the slope of log mean error on log size is the
     rate estimate (theory: -1/2).
     """
-    sizes = tuple(sample_sizes)
+    try:
+        sizes = tuple(sample_sizes)
+    except TypeError:  # a scalar or None
+        sizes = ()
     for n in sizes:
         _check_count("each sample size", n, 2)
     if len(sizes) < 3:

@@ -8,6 +8,9 @@ Gaussian mixture, a heavy-tailed elliptical construction with an
 exponential radial shared within a subject, and a skewed heavy-tailed
 skew-t calibrated to skewness 1.5 and excess kurtosis 5.1, whose solved
 shape and standardizing moments are frozen as the ``SKEW_T_*`` constants.
+A run's truth is its N x 2 score matrix and the scenario's read-only 2 x d
+eigenfunction array, built once per scenario; ``true_eigenfunctions`` gives
+the same two functions as Curves on any grid spanning [0, 10].
 """
 
 import functools
@@ -88,14 +91,13 @@ class SimulationScenario:
         object.__setattr__(self, "lambdas", tuple(float(l) for l in lambdas))
 
     @functools.cached_property
-    def _design(self) -> tuple[Grid, tuple[Curve, Curve], np.ndarray]:
-        """The grid, the two truth curves and their read-only 2 x d basis,
+    def _design(self) -> tuple[Grid, np.ndarray]:
+        """The grid and the read-only 2 x d basis of the two truth curves,
         built on first use and shared by every run of the scenario."""
         grid = make_regular_grid(DOMAIN_START, DOMAIN_END, self.n_points)
-        truth = true_eigenfunctions(self.case, grid)
-        basis = np.stack([c.values for c in truth])
+        basis = np.stack([c.values for c in true_eigenfunctions(self.case, grid)])
         basis.setflags(write=False)
-        return grid, truth, basis
+        return grid, basis
 
     def __getstate__(self):
         # unpickled arrays are writable, so a copy builds its own design
@@ -104,12 +106,13 @@ class SimulationScenario:
 
 @dataclass(frozen=True, eq=False)
 class TruthBundle:
-    """One generated dataset with its true scores and eigenfunctions (the
-    true mean is zero)."""
+    """One generated dataset with its true N x 2 scores and its true
+    eigenfunctions as a read-only 2 x d array on the sample's grid, row k
+    holding eigenfunction k (the true mean is zero)."""
 
     sample: FunctionalSample
     true_scores: np.ndarray
-    true_eigenfunctions: tuple[Curve, Curve]
+    true_eigenfunctions: np.ndarray
 
 
 def true_eigenfunctions(case: int, grid: Grid) -> tuple[Curve, Curve]:
@@ -215,10 +218,10 @@ def generate(scenario: SimulationScenario, run_index: int) -> TruthBundle:
 
     Deterministic in (scenario.seed, run_index): scores and noise come
     from separate derived streams, so runs can execute in any order.  Every
-    run of one scenario object shares its read-only grid and truth curves.
+    run of one scenario object shares its read-only grid and truth array.
     """
     _check_index("run_index", run_index, scenario.runs)
-    grid, truth, basis = scenario._design
+    grid, basis = scenario._design
 
     score_rng = derive_rng(scenario.seed, run_index, _SCORE_STREAM)
     noise_rng = derive_rng(scenario.seed, run_index, _NOISE_STREAM)
@@ -232,7 +235,7 @@ def generate(scenario: SimulationScenario, run_index: int) -> TruthBundle:
     return TruthBundle(
         sample=FunctionalSample(grid, values),
         true_scores=scores,
-        true_eigenfunctions=truth,
+        true_eigenfunctions=basis,
     )
 
 

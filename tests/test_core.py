@@ -324,16 +324,17 @@ def paper_rows(case, distribution):
 class TestLocalLinearMatrix:
     @pytest.mark.parametrize("grid", SMOOTHER_GRIDS, ids=lambda g: f"d{g.size}")
     def test_unflushed_closed_form_with_subnormal_weights_zeroed(self, grid):
-        tiny = np.finfo(float).tiny
+        floor = np.log(2.0**54 * grid.size * np.finfo(float).tiny)
         dt = grid.points[None, :] - grid.points[:, None]
         line = 2.0 * grid.points - 3.0
         for cand in list(gcv_bandwidth_candidates(grid)) + [0.01, 1.0]:
             full = unflushed_local_linear_matrix(grid.points, cand)
-            # weights whose exponent is below ln(tiny) are dropped before exp
-            kept = (np.abs(full) >= tiny) & ((dt / cand) ** 2 * -0.5 >= np.log(tiny))
+            # weights below the floor 2^54 d tiny are dropped before exp
+            kept = (dt / cand) ** 2 * -0.5 >= floor
             s = local_linear_matrix(grid.points, cand)
             assert np.array_equal(s[kept], full[kept])
             assert np.all(s[~kept] == 0.0)
+            assert count_subnormal(s) == 0
             assert np.allclose(s.sum(axis=1), 1.0, rtol=0, atol=1e-12)
             assert np.allclose(s @ line, line, rtol=0, atol=1e-9)
 

@@ -10,7 +10,6 @@ from kfpca import (
     RunMetrics,
     SimulationScenario,
     aggregate,
-    alignment_sign,
     convergence_rate,
     derive_rng,
     evaluate_run,
@@ -20,9 +19,9 @@ from kfpca import (
     inner_product,
     make_regular_grid,
     run_scenario,
-    score_mse,
     true_eigenfunctions,
 )
+from kfpca.metrics import _aligned_imses, _score_mses
 from kfpca.simgen import DISTRIBUTIONS
 
 
@@ -32,6 +31,12 @@ def random_curve(grid, key):
 
 def negated(c):
     return Curve(c.grid, -c.values)
+
+
+def alignment_sign(est, truth):
+    """The sign ``_aligned_imses`` gives one Curve against another."""
+    signs, _ = _aligned_imses(est.values[None], truth.values[None], truth.grid.weights)
+    return float(signs[0])
 
 
 class TestAlignSign:
@@ -47,9 +52,12 @@ class TestAlignSign:
 
     def test_orthogonal_tie_keeps_input_sign(self):
         g = make_regular_grid(0, 1, 4)
-        est = Curve(g, np.array([-1.0, 0.0, 0.0, 0.0]))
-        truth = Curve(g, np.array([0.0, 0.0, 1.0, 0.0]))
-        assert alignment_sign(est, truth) == 1.0
+        est = np.array([[-1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        truth = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0]])
+        signs, imses = _aligned_imses(est, truth, g.weights)
+        assert signs.tolist() == [1.0, 1.0]
+        diff = est - truth
+        assert np.array_equal(imses, [g.weights @ (r * r) for r in diff])
 
 
 class TestImse:
@@ -83,7 +91,7 @@ class TestImse:
 
 
 class TestOneRowFormulas:
-    """The public single-component functions against the plain formulas."""
+    """``imse`` and the row helpers against the plain formulas."""
 
     @pytest.mark.parametrize("key", [6, 7, 8])
     def test_sign_and_imse_round_as_one_vector_dot(self, key):
@@ -100,32 +108,28 @@ class TestOneRowFormulas:
         rng = derive_rng(40, n)
         est, tru = rng.standard_normal((2, n))
         diff = -1.0 * est - tru
-        assert score_mse(est, tru, -1.0) == float(np.mean(diff * diff))
+        assert _score_mses(est[:, None], tru[:, None], -1.0)[0] == float(np.mean(diff * diff))
 
     def test_grid_mismatch_rejected(self):
         a = random_curve(make_regular_grid(0, 10, 21), 1)
         b = random_curve(make_regular_grid(0, 10, 31), 2)
-        for fn in (alignment_sign, imse):
-            with pytest.raises(DimensionError):
-                fn(a, b)
+        with pytest.raises(DimensionError):
+            imse(a, b)
 
 
 class TestScoreMse:
     def test_identical_vectors(self):
-        x = np.arange(5.0)
-        assert score_mse(x, x, 1.0) == 0.0
+        x = np.arange(5.0)[:, None]
+        assert _score_mses(x, x, 1.0)[0] == 0.0
 
     def test_constant_shift(self):
-        x = np.arange(5.0)
-        assert score_mse(x + 2.0, x, 1.0) == pytest.approx(4.0)
+        x = np.arange(5.0)[:, None]
+        assert _score_mses(x + 2.0, x, 1.0)[0] == pytest.approx(4.0)
 
     def test_sign_coupling(self):
-        x = np.arange(5.0)
-        assert score_mse(-x, x, -1.0) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(InputError):
-            score_mse(np.zeros(3), np.zeros(4), 1.0)
+        # each column flips with its own eigenfunction's sign
+        x = np.arange(10.0).reshape(5, 2)
+        assert _score_mses(x * [-1.0, 1.0], x, np.array([-1.0, 1.0])).tolist() == [0.0, 0.0]
 
 
 class TestAggregate:
@@ -167,16 +171,19 @@ class TestAggregate:
 
 
 def per_curve_reference(scenario, run_index, method):
-    """A run's metrics through the public one-component functions, one
-    eigenfunction Curve and one score column at a time."""
+    """A run's metrics from the plain formulas, one eigenfunction row and one
+    score column at a time."""
     bundle = generate(scenario, run_index)
     model = fit(bundle.sample, FitConfig(method=method, n_components=2))
+    w = bundle.sample.grid.weights
     imse_k, mse_k = np.empty(2), np.empty(2)
     for k in range(2):
-        est, tru = model.eigenfunctions[k], bundle.true_eigenfunctions[k]
-        sign = alignment_sign(est, tru)
-        imse_k[k] = imse(est, tru)
-        mse_k[k] = score_mse(model.scores[:, k], bundle.true_scores[:, k], sign)
+        f, t = model.eigenfunction_values[k], bundle.true_eigenfunctions[k]
+        sign = -1.0 if w @ (f * t) < 0 else 1.0
+        diff = sign * f - t
+        imse_k[k] = w @ (diff * diff)
+        err = sign * model.scores[:, k] - bundle.true_scores[:, k]
+        mse_k[k] = np.mean(err * err)
     return imse_k, mse_k
 
 
@@ -184,8 +191,8 @@ class TestEvaluateRun:
     @pytest.mark.parametrize("case", [1, 2])
     @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
     def test_array_scoring_matches_the_per_curve_reference(self, distribution, case):
-        # the runs score the model's arrays and the reference scores its
-        # eigenfunction Curves one at a time, so the two cannot drift apart
+        # the runs score the model's arrays through the library's helpers and
+        # the reference applies the plain formulas to one row at a time
         scenario = SimulationScenario(
             case=case, distribution=distribution, n_subjects=40, n_points=21, seed=8, runs=3
         )
@@ -234,7 +241,7 @@ class TestEvaluateRun:
             return wrapper
 
         scenario = SimulationScenario(n_subjects=20, n_points=11, seed=9, runs=20)
-        scenario._design  # the truth curves, built once before counting
+        scenario._design  # builds the truth as two Curves, once, before counting
         for name, cls in (("model", kfpca.model.FpcaModel), ("curve", kfpca.core.Curve)):
             monkeypatch.setattr(cls, "__post_init__", counted(name, cls.__post_init__))
         out = run_scenario(scenario, ("kfpca", "cov"), workers=1)

@@ -322,9 +322,7 @@ class TestReconstruct:
         for run in range(10):
             bundle = generate(scenario, run)
             model = fit(bundle.sample, FitConfig(method="kfpca", n_components=2))
-            truth = bundle.true_scores @ np.stack(
-                [c.values for c in bundle.true_eigenfunctions]
-            )
+            truth = bundle.true_scores @ bundle.true_eigenfunctions
             w = bundle.sample.grid.weights
             for i in range(0, 100, 10):
                 diff = reconstruct(model, i, 2).values - truth[i]

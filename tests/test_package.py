@@ -31,6 +31,12 @@ def test_import_loads_no_optimizer_or_special_functions():
 
 _SCENARIO = kfpca.SimulationScenario(n_subjects=5, n_points=6, runs=2)
 _GRID = kfpca.make_regular_grid(0, 1, 3)
+_SAMPLE = kfpca.FunctionalSample(_GRID, [[1.0, 2.0, 3.0], [2.0, 3.0, 5.0]])
+_MEAN = kfpca.Curve(_GRID, [0.0, 0.0, 0.0])
+
+
+def _run(imse, mse, run_index=0):
+    return kfpca.RunMetrics(imse, mse, run_index, _SCENARIO, "kfpca")
 
 
 @pytest.mark.parametrize(
@@ -50,14 +56,37 @@ _GRID = kfpca.make_regular_grid(0, 1, 3)
         lambda: kfpca.derive_rng(1, "a"),
         lambda: kfpca.make_regular_grid("a", 1, 3),
         lambda: kfpca.make_regular_grid(0, True, 3),
+        lambda: kfpca.project_scores(_SAMPLE, _MEAN, "abc"),
+        lambda: kfpca.project_scores(_SAMPLE, _MEAN, [[1.0, 2.0, 3.0], [1.0]]),
+        lambda: _run("a", [0.0]),
+        lambda: _run([0.1, 0.2], [0.1]),
+        lambda: kfpca.aggregate([_run([0.1, 0.2], [0.1, 0.2]), _run([0.1], [0.1], 1)]),
+        lambda: kfpca.convergence_rate(_SCENARIO, 5, 2),
+        lambda: kfpca.RateDiagnostic((10, 20, 40), "abc", -1.0),
     ],
     ids=[
         "grid-size-float", "rng-seed-float", "rng-seed-none", "run-index-float",
         "run-index-str", "run-index-bool", "evaluate-run-index-float",
         "grid-text-points", "curve-text-values", "ragged-sample",
         "rng-key-float", "rng-key-str", "grid-text-bound", "grid-bool-bound",
+        "project-text-phi", "project-ragged-phi", "run-metrics-text",
+        "run-metrics-unequal-lengths", "aggregate-unequal-runs",
+        "rate-scalar-sizes", "rate-text-errors",
     ],
 )
 def test_malformed_public_argument_raises_a_package_error(call):
     with pytest.raises(kfpca.KfpcaError):
         call()
+
+
+def test_readme_library_quickstart_runs():
+    # the quickstart names public calls; running it keeps it in step with them
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        text = f.read()
+    section = text.split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert len(namespace["errs"]) == 2
+    assert all(0.0 <= e < 0.5 for e in namespace["errs"])

@@ -191,8 +191,7 @@ class TestGenerate:
     def test_bundle_is_consistent(self):
         scenario = SimulationScenario(sigma2=0.0, seed=11)
         bundle = generate(scenario, 0)
-        basis = np.stack([c.values for c in bundle.true_eigenfunctions])
-        assert np.allclose(bundle.sample.values, bundle.true_scores @ basis)
+        assert np.allclose(bundle.sample.values, bundle.true_scores @ bundle.true_eigenfunctions)
 
     def test_variance_decomposition(self):
         # pooled variance of Y(t) across many runs matches
@@ -233,10 +232,10 @@ class TestGenerate:
         scenario = SimulationScenario(case=2, distribution="skew_t", seed=16, runs=3)
         a, b = generate(scenario, 0), generate(scenario, 2)
         assert a.sample.grid is b.sample.grid
-        assert a.true_eigenfunctions[0].grid is a.sample.grid
-        assert all(x is y for x, y in zip(a.true_eigenfunctions, b.true_eigenfunctions))
-        arrays = [a.sample.grid.points, a.sample.grid.weights]
-        arrays += [c.values for c in a.true_eigenfunctions]
+        assert a.true_eigenfunctions is b.true_eigenfunctions
+        curves = true_eigenfunctions(2, a.sample.grid)
+        assert np.array_equal(a.true_eigenfunctions, [c.values for c in curves])
+        arrays = [a.sample.grid.points, a.sample.grid.weights, a.true_eigenfunctions]
         assert not any(x.flags.writeable for x in arrays)
 
     def test_pickled_scenario_builds_its_own_read_only_design(self):
