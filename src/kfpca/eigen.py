@@ -64,9 +64,9 @@ def eigen_decompose(
     w = kernel.grid.weights
     # rows in C order: the smoother and the score projection multiply by
     # them, and the layout decides how those products round
-    vecs = np.ascontiguousarray(kernel.leading_eigenvectors(n_components).T)
-    phi = _apply_sign_convention(vecs / np.sqrt(w), w)
+    phi = np.ascontiguousarray(kernel.leading_eigenvectors(n_components).T) / np.sqrt(w)
     if smooth:
+        # smoothing is odd in each row (S(-y) = -S y), so signs are fixed once, last
         phi = smooth_rows(kernel.grid, phi, bandwidth)
         norms = _weighted_dots(phi * phi, w)
         annihilated = np.flatnonzero(norms <= 0)
@@ -74,8 +74,8 @@ def eigen_decompose(
             raise EstimationError(
                 f"smoothing annihilated eigenfunction {annihilated[0] + 1}"
             )
-        phi = _apply_sign_convention(phi / np.sqrt(norms)[:, None], w)
-    return phi
+        phi = phi / np.sqrt(norms)[:, None]
+    return _apply_sign_convention(phi, w)
 
 
 def project_scores(

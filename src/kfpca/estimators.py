@@ -72,9 +72,9 @@ class DiscretizedKernel:
             raise ConfigurationError(f"unknown kernel kind {self.kind!r}")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != self.grid.size:
             raise InputError("kernel matrix must be d x d for the grid's d")
-        if not np.all(np.isfinite(m)):
-            raise InputError("kernel matrix must be finite")
         scale = float(np.abs(m).max())
+        if not np.isfinite(scale):  # a NaN or infinite entry makes the max one
+            raise InputError("kernel matrix must be finite")
         if float(np.abs(m - m.T).max()) > SYMMETRY_RTOL * max(scale, 1e-300):
             raise InputError("kernel matrix is not symmetric")
         sqrt_w = np.sqrt(self.grid.weights)
@@ -116,17 +116,17 @@ class DiscretizedKernel:
         """The d x k matrix whose column j is the unit eigenvector of
         W^{1/2} M W^{1/2} paired with ``eigenvalues[j]``, for j < k.
 
-        The k leading eigenvectors of the tridiagonal T come from bisection
-        and inverse iteration (dstebz, dstein) when 10 k <= d, and otherwise
-        from T's full divide-and-conquer solve (dstevd), of which the last k
-        columns are kept.  Either way only those k columns are multiplied by
-        Q (dormqr).  Inverse iteration costs grow with k, divide and conquer
-        costs the same for any k; timed from T to the d x k result (one BLAS
-        thread, OpenBLAS 0.3.31, 2-vCPU x86-64 guest) the two broke even at
-        about k = 8 of d = 51, 13 of d = 101 and 40 of d = 401.  MRRR
-        (dstemr with an index range) cannot replace both: on the same host
-        it took 0.045 ms at (d, k) = (51, 2) against dstein's 0.052, but
-        2.27 ms at (101, 75) against dstevd's 0.76.
+        The k leading eigenvectors of the tridiagonal T come from inverse
+        iteration (dstein) on the k leading stored eigenvalues when
+        10 k <= d, and otherwise from T's full divide-and-conquer solve
+        (dstevd), of which the last k columns are kept.  Either way only
+        those k columns are multiplied by Q (dormqr).  Inverse iteration
+        costs grow with k, divide and conquer costs the same for any k;
+        timed from T to the d x k result (one BLAS thread, OpenBLAS 0.3.31,
+        2-vCPU x86-64 guest) the two broke even at about k = 30 of d = 51,
+        45 of d = 101 and 32 of d = 401.  MRRR (dstemr, index range) was
+        slower than either there: 0.099 ms at (d, k) = (51, 2) against
+        dstein's 0.032, 2.55 ms at (101, 75) against dstevd's 0.93.
         Raises EstimationError when LAPACK reports a failure.
         """
         d = self.grid.size
@@ -135,18 +135,12 @@ class DiscretizedKernel:
             raise ConfigurationError(f"n_components must lie in [1, {d}], got {k}")
         diag, off = self._diagonal, self._off_diagonal
         if 10 * k <= d:
-            # eigenvalues d-k+1..d (1-based, ascending) to full accuracy,
-            # grouped by split-off block as dstein needs them
-            found, w, block, split, info = lapack.dstebz(
-                diag, off, 3, 0.0, 0.0, d - k + 1, d, 2.0 * np.finfo(float).tiny, "B"
-            )
-            if info or found != k:
-                raise EstimationError(
-                    f"LAPACK dstebz found {found} of {k} eigenvalues (info {info})"
-                )
-            z, info = lapack.dstein(diag, off, w[:k], block, split)
+            # the k leading stored eigenvalues, ascending, for T as one
+            # block: iblock all 1, isplit[0] = d
+            one_block = np.ones(d, np.int32), np.full(d, d, np.int32)
+            z, info = lapack.dstein(diag, off, self.eigenvalues[k - 1 :: -1], *one_block)
             _lapack_info("dstein", info)
-            z = z[:, np.argsort(w[:k])[::-1]]
+            z = z[:, ::-1]
             # k short columns: the unblocked reflector loop is fastest
             lwork = k
         else:
@@ -324,8 +318,8 @@ def covariance_hat(sample: FunctionalSample) -> DiscretizedKernel:
     """Sample covariance matrix across subjects (divisor N - 1)."""
     x = sample.values
     xc = x - x.mean(axis=0)
-    m = xc.T @ xc / (x.shape[0] - 1)
-    return DiscretizedKernel(sample.grid, (m + m.T) / 2.0, COVARIANCE)
+    # numpy forms xc^T xc by BLAS syrk, one triangle mirrored: exactly symmetric
+    return DiscretizedKernel(sample.grid, xc.T @ xc / (x.shape[0] - 1), COVARIANCE)
 
 
 def bootstrap_mean_band(

@@ -60,13 +60,27 @@ class RateDiagnostic:
     fitted_slope: float
 
     def __post_init__(self):
-        object.__setattr__(self, "sample_sizes", tuple(self.sample_sizes))
+        sizes = _rate_sample_sizes(self.sample_sizes)
         errs = _float_array(self.sup_errors)
+        slope = _float_array(self.fitted_slope)
+        object.__setattr__(self, "sample_sizes", sizes)
         object.__setattr__(self, "sup_errors", errs)
-        if np.any(np.diff(self.sample_sizes) <= 0):
-            raise InputError("sample sizes must be increasing")
-        if np.any(errs <= 0):
-            raise InputError("sup errors must be positive")
+        if errs.shape != (len(sizes),) or slope.shape:
+            raise InputError("need one sup error per sample size and a scalar slope")
+        if not (np.all((errs > 0) & (errs < np.inf)) and np.isfinite(slope)):
+            raise InputError("sup errors must be positive and finite, the slope finite")
+
+
+def _rate_sample_sizes(sample_sizes) -> tuple:
+    """``sample_sizes`` as a tuple of >= 3 increasing counts >= 2, or ConfigurationError."""
+    sizes = tuple(sample_sizes) if np.iterable(sample_sizes) else ()
+    for n in sizes:
+        _check_count("each sample size", n, 2)
+    if len(sizes) < 3:
+        raise ConfigurationError("need at least 3 sample sizes")
+    if any(b <= a for a, b in zip(sizes[:-1], sizes[1:])):
+        raise ConfigurationError("sample sizes must be strictly increasing")
+    return sizes
 
 
 def _aligned_imses(est: np.ndarray, truth: np.ndarray, weights: np.ndarray):
@@ -212,16 +226,7 @@ def convergence_rate(
     everything noiseless; the slope of log mean error on log size is the
     rate estimate (theory: -1/2).
     """
-    try:
-        sizes = tuple(sample_sizes)
-    except TypeError:  # a scalar or None
-        sizes = ()
-    for n in sizes:
-        _check_count("each sample size", n, 2)
-    if len(sizes) < 3:
-        raise ConfigurationError("need at least 3 sample sizes")
-    if any(b <= a for a, b in zip(sizes[:-1], sizes[1:])):
-        raise ConfigurationError("sample sizes must be strictly increasing")
+    sizes = _rate_sample_sizes(sample_sizes)
     _check_count("reps", reps, 1)
 
     noiseless = dataclasses.replace(scenario, sigma2=0.0, runs=len(sizes) * reps + 1)

@@ -10,7 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import bench_pairs  # noqa: E402
-from bench_pairs import summarize_metric, summarize_workload  # noqa: E402
+from bench_pairs import summarize_metric, summarize_workload, verdict_line  # noqa: E402
 
 PARENT = [1.30, 1.32, 1.28, 1.35, 1.31, 1.29, 1.33, 1.30, 1.34, 1.31]
 CHANGE = [1.19, 1.20, 1.18, 1.22, 1.19, 1.30, 1.21, 1.17, 1.20, 1.19]
@@ -75,6 +75,25 @@ def test_workload_entry():
     metric = entry["metrics"]["op_ms_p50"]
     assert (metric["unit"], metric["better"], metric["bound"]) == ("ms", "lower", 0.25)
     assert metric["change_wins"] == 9
+    assert verdict_line("mc_paper", entry, "op_ms_p50") == (
+        "mc_paper op_ms_p50: 1.31 -> 1.195 ms (-8.8%), wins 9/10, clear_gain yes, "
+        "within_bound yes, failed ops 0/1000 parent, 1/1000 change"
+    )
+
+
+def test_verdict_line_of_a_regression():
+    spec = [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.05}]
+
+    def line(value):
+        return {"correct": True, "attempted": 7, "failed": 0,
+                "metrics": {"ops_per_s": {"value": value, "unit": "1/s"}}}
+
+    results = {"parent": [line(v) for v in PARENT], "change": [line(v) for v in CHANGE]}
+    entry = summarize_workload(range(3, 13), results, spec)
+    assert verdict_line("fit_large_n", entry, "ops_per_s") == (
+        "fit_large_n ops_per_s: 1.31 -> 1.195 1/s (-8.8%), wins 1/10, clear_gain no, "
+        "within_bound no, failed ops 0/70 parent, 0/70 change"
+    )
 
 
 PASSING_RUN = """
@@ -116,3 +135,27 @@ def test_failed_run_is_reported_and_nothing_is_written(tmp_path, monkeypatch, ca
     assert "stderr line 10" in err and "stderr line 29" in err
     assert "stderr line 9\n" not in err
     assert not (root / "BENCH_99.json").exists()
+
+
+def test_verdict_lines_follow_the_written_file(tmp_path, monkeypatch, capsys):
+    import subprocess
+
+    root = fake_tree(tmp_path / "change", PASSING_RUN)
+    spec = [{"name": "op_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25}]
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": spec, "run_seconds": 1}))
+    # the report names the parent's commit, so the fake tree is a repository
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(root)]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "t"], check=True)
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    monkeypatch.setattr(bench_pairs, "snapshot", lambda rev, into: fake_tree(into, PASSING_RUN))
+    argv = ["--parent", "HEAD", "--pr", "99", "--pairs", "2", "--first-seed", "5", "cli_smooth"]
+    assert bench_pairs.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == [
+        "wrote BENCH_99.json",
+        "cli_smooth op_ms_p50: 1 -> 1 ms (+0.0%), wins 0/2, clear_gain no, "
+        "within_bound yes, failed ops 0/2 parent, 0/2 change",
+    ]
+    report = json.loads((root / "BENCH_99.json").read_text())
+    assert report["workloads"]["cli_smooth"]["pairs"] == 2

@@ -395,6 +395,12 @@ def solved_kernel(kind, n, d, lambdas=(16.0, 9.0)):
     )
     sample = generate(scenario, 0).sample
     kernel = kendall_tau_hat(sample) if kind == "kendall" else covariance_hat(sample)
+    return dense_solved(kernel)
+
+
+def dense_solved(kernel):
+    """The kernel, its weighted matrix W^1/2 M W^1/2 and that matrix's
+    descending eigenpairs from a dense solver."""
     sqrt_w = np.sqrt(kernel.grid.weights)
     a = sqrt_w[:, None] * kernel.matrix * sqrt_w[None, :]
     evals, vecs = np.linalg.eigh(a)
@@ -443,6 +449,60 @@ class TestLeadingEigenvectors:
         for k in (1, 2, 3, 4, 25, 51):
             check_leading_eigenvectors(kernel, a, evals, vecs, k)
 
+    @pytest.mark.parametrize("kind", ["kendall", "covariance"])
+    def test_reducible_tridiagonal(self, kind):
+        # curves identically 0 on the first 30 points: M's first 30 rows are
+        # 0, so T splits into 30 zero blocks and one block holding the
+        # nonzero spectrum, while inverse iteration sees T as one block
+        scenario = SimulationScenario(distribution="skew_t", n_subjects=50, n_points=101, seed=8)
+        generated = generate(scenario, 0).sample
+        values = generated.values.copy()
+        values[:, :30] = 0.0
+        sample = FunctionalSample(generated.grid, values)
+        kernel = kendall_tau_hat(sample) if kind == "kendall" else covariance_hat(sample)
+        solved = dense_solved(kernel)
+        assert np.count_nonzero(kernel._off_diagonal[:30]) == 0
+        for k in (1, 2, 10, 11, 50):
+            check_leading_eigenvectors(*solved, k)
+
+    def test_eigenvalues_repeated_across_split_blocks(self):
+        # W^1/2 M W^1/2 = diag(C, A, A): C holds the two simple leading
+        # eigenvalues, and each of A's repeats across two split-off blocks
+        rng = derive_rng(9, 0)
+
+        def block(lambdas):
+            q = np.linalg.qr(rng.standard_normal((20, 20)))[0]
+            return (q * lambdas) @ q.T
+
+        tail = np.geomspace(0.5, 1e-3, 18)
+        b = np.zeros((60, 60))
+        b[:20, :20] = block(np.r_[16.0, 9.0, tail])
+        b[20:40, 20:40] = b[40:, 40:] = block(np.r_[4.0, 3.0, tail / 2])
+        grid = make_regular_grid(0, 1, 60)
+        inv_sqrt_w = 1.0 / np.sqrt(grid.weights)
+        matrix = inv_sqrt_w[:, None] * b * inv_sqrt_w[None, :]
+        kernel = kfpca.estimators.DiscretizedKernel(grid, (matrix + matrix.T) / 2, "covariance")
+        solved = dense_solved(kernel)
+        assert np.count_nonzero(kernel._off_diagonal[[19, 39]]) == 0
+        assert abs(kernel.eigenvalues[2] - kernel.eigenvalues[3]) <= 1e-14 * 16
+        for k in (1, 2, 4, 6, 7, 30, 60):
+            check_leading_eigenvectors(*solved, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_inverse_iteration_starts_from_the_stored_spectrum(self, k, monkeypatch):
+        kernel = solved_kernel("kendall", 100, 51)[0]
+        fn = kfpca.estimators.lapack.dstein
+        received = []
+
+        def recording(diag, off, w, block, split):
+            received.append(np.array(w))
+            return fn(diag, off, w, block, split)
+
+        monkeypatch.setattr(kfpca.estimators.lapack, "dstein", recording)
+        kernel.leading_eigenvectors(k)
+        assert len(received) == 1
+        assert np.array_equal(received[0], kernel.eigenvalues[k - 1 :: -1])
+
     @pytest.mark.parametrize("d", [51, 101, 401])
     def test_method_follows_the_crossover(self, d, monkeypatch):
         kernel = solved_kernel("covariance", 30, d)[0]
@@ -457,11 +517,14 @@ class TestLeadingEigenvectors:
 
             monkeypatch.setattr(kfpca.estimators.lapack, name, wrapped)
 
+        counting("dstebz")
         counting("dstein")
         counting("dstevd")
         c = self.crossover(d)
         kernel.leading_eigenvectors(c)
         kernel.leading_eigenvectors(c + 1)
+        # inverse iteration takes the kernel's stored eigenvalues, so no
+        # second bisection runs
         assert calls == ["dstein", "dstevd"]
 
     @pytest.mark.parametrize("name, k", [("dstein", 2), ("dstevd", 51)])

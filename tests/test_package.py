@@ -63,6 +63,12 @@ def _run(imse, mse, run_index=0):
         lambda: kfpca.aggregate([_run([0.1, 0.2], [0.1, 0.2]), _run([0.1], [0.1], 1)]),
         lambda: kfpca.convergence_rate(_SCENARIO, 5, 2),
         lambda: kfpca.RateDiagnostic((10, 20, 40), "abc", -1.0),
+        lambda: kfpca.RateDiagnostic(5, [1.0], -1.0),
+        lambda: kfpca.RateDiagnostic(("a", "b", "c"), [1.0] * 3, -1.0),
+        lambda: kfpca.RateDiagnostic((10, 20, 40), [1.0, 1.0], -0.5),
+        lambda: kfpca.RateDiagnostic((10, 20, 40), [1.0, float("nan"), 1.0], -0.5),
+        lambda: kfpca.RateDiagnostic((10, 20, 40), [1.0] * 3, "x"),
+        lambda: kfpca.RateDiagnostic((True, 2, 3), [1.0] * 3, -0.5),
     ],
     ids=[
         "grid-size-float", "rng-seed-float", "rng-seed-none", "run-index-float",
@@ -71,7 +77,9 @@ def _run(imse, mse, run_index=0):
         "rng-key-float", "rng-key-str", "grid-text-bound", "grid-bool-bound",
         "project-text-phi", "project-ragged-phi", "run-metrics-text",
         "run-metrics-unequal-lengths", "aggregate-unequal-runs",
-        "rate-scalar-sizes", "rate-text-errors",
+        "rate-scalar-sizes", "rate-text-errors", "rate-diag-scalar-sizes",
+        "rate-diag-text-sizes", "rate-diag-unequal-lengths", "rate-diag-nan-error",
+        "rate-diag-text-slope", "rate-diag-bool-size",
     ],
 )
 def test_malformed_public_argument_raises_a_package_error(call):

@@ -15,6 +15,8 @@ The run length (``run_seconds``) and each workload's end-to-end metrics,
 with their direction and bound, come from the working tree's BENCHMARK.json.
 If a run exits non-zero, its workload, side, seed, exit code and last 20
 stderr lines are printed and the script exits 1 without writing the file.
+After writing it, the script prints one verdict line per workload and
+end-to-end metric (see ``verdict_line``).
 """
 
 import argparse
@@ -90,6 +92,26 @@ def summarize_workload(seeds, results, spec) -> dict:
             for m in spec
         },
     }
+
+
+def verdict_line(workload: str, entry: dict, name: str) -> str:
+    """One line on metric ``name`` of a workload's entry: parent and change
+    medians, pair wins, ``clear_gain``, ``within_bound`` and the failed and
+    attempted operations of each side, e.g.
+
+    mc_paper op_ms_p50: 0.979 -> 0.891 ms (-9.0%), wins 9/10, clear_gain yes,
+    within_bound yes, failed ops 0/31000 parent, 0/33000 change
+    """
+    m = entry["metrics"][name]
+    failed, attempted = entry["failed_ops"], entry["attempted_ops"]
+    yes = {True: "yes", False: "no"}
+    return (
+        f"{workload} {name}: {m['parent']['median']:.6g} -> {m['change']['median']:.6g} "
+        f"{m['unit']} ({m['median_change_rel']:+.1%}), wins {m['change_wins']}/{entry['pairs']}, "
+        f"clear_gain {yes[m['clear_gain']]}, within_bound {yes[m['within_bound']]}, "
+        f"failed ops {failed['parent']}/{attempted['parent']} parent, "
+        f"{failed['change']}/{attempted['change']} change"
+    )
 
 
 class RunFailed(Exception):
@@ -176,6 +198,9 @@ def main(argv=None) -> int:
     report = {"what": args.what, "method": method, "workloads": summaries}
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out.name}")
+    for workload, entry in summaries.items():
+        for m in spec:
+            print(verdict_line(workload, entry, m["name"]))
     return 0
 
 
