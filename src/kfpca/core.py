@@ -27,10 +27,28 @@ def _float_array(values) -> np.ndarray:
 
 
 def _frozen_array(values) -> np.ndarray:
-    """A read-only copy of ``values``, checked as ``_float_array`` checks."""
+    """``values`` as a read-only array, checked as ``_float_array`` checks:
+    a C-ordered float64 ndarray that is read-only and owns its memory (as
+    the library's own results handed over by ``_readonly`` are) is kept,
+    so only a caller that sets it writable again could change it; any
+    other input is copied, so the caller's later writes miss it."""
+    if (
+        type(values) is np.ndarray
+        and values.dtype == np.float64
+        and values.flags.owndata
+        and not values.flags.writeable
+        and values.flags.c_contiguous
+    ):
+        return values
     out = _float_array(values).copy()
     out.setflags(write=False)
     return out
+
+
+def _readonly(values: np.ndarray) -> np.ndarray:
+    """A fresh array the caller gives up, marked read-only for adoption."""
+    values.setflags(write=False)
+    return values
 
 
 def _is_integer(value) -> bool:

@@ -15,8 +15,8 @@ eigenfunction values (the eigenvalues are ``kernel.eigenvalues[:K]``), and
 import numpy as np
 
 from .core import Curve, FunctionalSample, _float_array, _weighted_dots, smooth_rows
-from .errors import DimensionError, EstimationError
-from .estimators import DiscretizedKernel
+from .errors import DimensionError, EstimationError, InputError
+from .estimators import _PAIR_TILE, DiscretizedKernel
 
 SIGN_TIE_ATOL = 1e-8
 
@@ -85,8 +85,10 @@ def project_scores(
     each eigenfunction, given as the rows of the K x d array ``phi``.
 
     Returns an N x K matrix with entry (i, k) equal to
-    <X_i - mean, phi_k>.  InputError if ``phi`` is not a rectangular array
-    of numbers; DimensionError if its rows are not on the sample's grid.
+    <X_i - mean, phi_k>, computed ``_PAIR_TILE`` rows at a time, so that
+    beyond the result only one block of centered rows is held, never an
+    N x d copy.  InputError if ``phi`` is not a rectangular array of finite
+    numbers; DimensionError if its rows are not on the sample's grid.
     """
     phi = _float_array(phi)
     if (
@@ -97,5 +99,12 @@ def project_scores(
         raise DimensionError(
             "sample, mean and eigenfunction rows must share the grid"
         )
-    centered = sample.values - mean.values
-    return centered @ (phi * sample.grid.weights).T
+    if not np.isfinite(phi).all():
+        raise InputError("eigenfunction values must be finite")
+    x = sample.values
+    weighted = (phi * sample.grid.weights).T
+    scores = np.empty((len(x), len(phi)))
+    for i0 in range(0, len(x), _PAIR_TILE):
+        rows = x[i0 : i0 + _PAIR_TILE]
+        np.matmul(rows - mean.values, weighted, out=scores[i0 : i0 + len(rows)])
+    return scores

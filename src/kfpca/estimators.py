@@ -10,7 +10,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .core import (
     Curve,
@@ -19,6 +19,7 @@ from .core import (
     _check_count,
     _check_non_negative,
     _frozen_array,
+    _readonly,
     derive_rng,
 )
 from .errors import ConfigurationError, EstimationError, InputError
@@ -118,15 +119,17 @@ class DiscretizedKernel:
 
         The k leading eigenvectors of the tridiagonal T come from inverse
         iteration (dstein) on the k leading stored eigenvalues when
-        10 k <= d, and otherwise from T's full divide-and-conquer solve
-        (dstevd), of which the last k columns are kept.  Either way only
-        those k columns are multiplied by Q (dormqr).  Inverse iteration
-        costs grow with k, divide and conquer costs the same for any k;
-        timed from T to the d x k result (one BLAS thread, OpenBLAS 0.3.31,
-        2-vCPU x86-64 guest) the two broke even at about k = 30 of d = 51,
-        45 of d = 101 and 32 of d = 401.  MRRR (dstemr, index range) was
-        slower than either there: 0.099 ms at (d, k) = (51, 2) against
-        dstein's 0.032, 2.55 ms at (101, 75) against dstevd's 0.93.
+        k <= min(d / 5, 32), and otherwise from T's full divide-and-conquer
+        solve (dstevd), of which the last k columns are kept.  Either way
+        only those k columns are multiplied by Q (dormqr).  Inverse
+        iteration costs grow with k, divide and conquer costs the same for
+        any k; timed from T to the d x k result on skew-t kernels of both
+        kinds (one BLAS thread, OpenBLAS 0.3.31, 2-vCPU x86-64 guest),
+        dstein stayed the faster up to k = 24 of d = 51 (N = 100), 48 of
+        d = 101, 48 of d = 401 and 56 of d = 1441 (N = 200), so the rule
+        keeps below each break-even.  MRRR (dstemr, index range) was slower
+        than either there: 0.099 ms at (d, k) = (51, 2) against dstein's
+        0.032, 2.55 ms at (101, 75) against dstevd's 0.93.
         Raises EstimationError when LAPACK reports a failure.
         """
         d = self.grid.size
@@ -134,7 +137,7 @@ class DiscretizedKernel:
         if k > d:
             raise ConfigurationError(f"n_components must lie in [1, {d}], got {k}")
         diag, off = self._diagonal, self._off_diagonal
-        if 10 * k <= d:
+        if 5 * k <= d and k <= 32:
             # the k leading stored eigenvalues, ascending, for T as one
             # block: iblock all 1, isplit[0] = d
             one_block = np.ones(d, np.int32), np.full(d, d, np.int32)
@@ -182,20 +185,24 @@ def mean_hat(sample: FunctionalSample) -> Curve:
     return Curve(sample.grid, sample.values.mean(axis=0))
 
 
-def _centered(sample: FunctionalSample) -> tuple[np.ndarray, float]:
-    """The N x (d + 2) pair-sum buffer [X_c | 1 | q] and the mean pairwise
-    squared norm: X_c the column-centered values, q_i the squared norm of
-    centered curve i.  Differences X_i - X_j do not see the centering, and
-    after it the cross terms of sum_{i<j} |X_i - X_j|^2 vanish, leaving
-    n sum(q); centering first also keeps the Gram identity free of
-    cancellation when the curves sit far from zero."""
-    x = sample.values
+def _centered(sample: FunctionalSample) -> tuple[np.ndarray, np.ndarray, float]:
+    """The column mean mu, the length-N vector q of the centered curves'
+    weighted squared norms |X_i - mu|^2_w, and the mean pairwise squared
+    norm.  Differences X_i - X_j do not see the centering, and after it the
+    cross terms of sum_{i<j} |X_i - X_j|^2 vanish, leaving n sum(q);
+    centering first also keeps the Gram identity free of cancellation when
+    the curves sit far from zero.  q is computed ``_PAIR_TILE`` rows at a
+    time, so no N x d centered copy is made."""
+    x, w = sample.values, sample.grid.weights
     n, d = x.shape
-    buf = np.empty((n, d + 2))
-    xc = np.subtract(x, x.mean(axis=0), out=buf[:, :d])
-    buf[:, d] = 1.0
-    q = np.einsum("ij,j,ij->i", xc, sample.grid.weights, xc, out=buf[:, d + 1])
-    return buf, 2.0 * float(q.sum()) / (n - 1)
+    mu = x.mean(axis=0)
+    q = np.empty(n)
+    block = np.empty((min(_PAIR_TILE, n), d))
+    for i0 in range(0, n, _PAIR_TILE):
+        rows = x[i0 : i0 + _PAIR_TILE]
+        xc = np.subtract(rows, mu, out=block[: len(rows)])
+        np.einsum("ij,j,ij->i", xc, w, xc, out=q[i0 : i0 + len(rows)])
+    return mu, q, 2.0 * float(q.sum()) / (n - 1)
 
 
 def kendall_tau_hat(
@@ -229,31 +236,36 @@ def kendall_tau_hat(
         Every pair degenerate (e.g. all curves identical).
     """
     _check_non_negative("degenerate_tol", degenerate_tol)
-    buf, mean_sq_norm = _centered(sample)
+    mu, q, mean_sq_norm = _centered(sample)
     accum, ordered_retained = _pair_sum(
-        buf, sample.grid.weights, degenerate_tol * mean_sq_norm
+        sample.values, mu, q, sample.grid.weights, degenerate_tol * mean_sq_norm
     )
     if ordered_retained == 0:
         raise EstimationError("all curve pairs are degenerate")
     # (accum + accum^T) / 2 is the unordered-pair sum, which has
     # ordered_retained / 2 terms
     accum /= ordered_retained
-    return DiscretizedKernel(sample.grid, accum + accum.T, KENDALL)
+    return DiscretizedKernel(sample.grid, _readonly(accum + accum.T), KENDALL)
 
 
-def _pair_sum(buf: np.ndarray, w: np.ndarray, threshold: float) -> tuple[np.ndarray, int]:
+def _pair_sum(
+    x: np.ndarray, mu: np.ndarray, q: np.ndarray, w: np.ndarray, threshold: float
+) -> tuple[np.ndarray, int]:
     """A d x d matrix whose symmetric part is the sum of outer(D, D)/|D|^2
     over unordered pairs D = X_i - X_j with
     |D|^2 > max(threshold, (d + 2) eps (q_i + q_j)), and the count of such
-    ordered pairs, for the buffer [X | 1 | q] of ``_centered``.
+    ordered pairs, for the rows X of ``x`` and the mean ``mu`` and squared
+    norms ``q`` of ``_centered``.
 
     The sum is X^T (diag(r) - C - C^T) X with C[i, j] = 1/|X_i - X_j|^2 on
-    retained pairs i < j (0 elsewhere) and r the row sums of C + C^T.  The
-    buffer's layout makes each tile two GEMMs and a few passes:
+    retained pairs i < j (0 elsewhere) and r the row sums of C + C^T, for
+    the centered rows X_i - mu (written X below).  Each tile is two GEMMs
+    and a few passes:
 
-    - a row block I builds lhs = [X_I diag(-2 w) | q_I | 1], so
-      lhs @ buf[J].T is q_i + q_j - 2 <X_i, X_j>_w = |X_i - X_j|^2;
-    - inverted in place, that tile is C_IJ, and C_IJ @ buf[J, :d + 1] is
+    - a row block I builds lhs = [X_I diag(-2 w) | q_I | 1] and each
+      column block J it meets rhs = [X_J | 1 | q_J], so lhs @ rhs.T is
+      q_i + q_j - 2 <X_i, X_j>_w = |X_i - X_j|^2;
+    - inverted in place, that tile is C_IJ, and C_IJ @ rhs[:, :d + 1] is
       [C_IJ X_J | row sums of C_IJ], summed over the row block as T_I;
     - the diagonal tile comes last, when r_I is complete; -r_i / 2 on its
       diagonal adds -diag(r_I) X_I / 2 to T_I, so -2 X_I^T T_I summed
@@ -261,11 +273,12 @@ def _pair_sum(buf: np.ndarray, w: np.ndarray, threshold: float) -> tuple[np.ndar
 
     The N x N pair matrix is walked in square tiles of edge ``_PAIR_TILE``,
     only those on or above the diagonal, and within a diagonal tile only
-    j > i, so each unordered pair is visited once.  Scratch arrays are tile
-    sized; beyond the buffer the sum holds one length-N vector.
+    j > i, so each unordered pair is visited once.  Rows are centered one
+    tile at a time into one tile-sized rhs, which after a row block's last
+    (diagonal) tile holds X_I: every scratch array is tile sized, and
+    beyond ``x`` and ``q`` the sum holds one length-N vector.
     """
-    n, d = buf.shape[0], buf.shape[1] - 2
-    x, q = buf[:, :d], buf[:, d + 1]
+    n, d = x.shape
     # the GEMM's rounding error is bounded by d + 2 ulps of q_i + q_j: a
     # squared norm at or below that is no pair's own (an exact duplicate
     # lands there, not at 0, and may land below 0), so it is dropped too;
@@ -274,6 +287,23 @@ def _pair_sum(buf: np.ndarray, w: np.ndarray, threshold: float) -> tuple[np.ndar
     tile = min(_PAIR_TILE, n)
     on_or_below_diag = np.tri(tile, dtype=bool)
     lhs = np.empty((tile, d + 2))
+    lhs[:, d + 1] = 1.0
+    rhs = np.empty((tile, d + 2))
+    rhs[:, d] = 1.0
+    # X_J - 1 mu^T is a rank-one update, done in place by BLAS dger: a
+    # numpy ufunc writing a strided block allocates hidden buffers.  The
+    # shift's two zeros leave column d at 1 (1 + -0 is 1); column d + 1 is
+    # written after it.
+    shift, ones = np.zeros(d + 2), np.ones(tile)
+    shift[:d] = mu
+
+    def load(j0: int, j1: int) -> np.ndarray:
+        right = rhs[: j1 - j0]
+        np.copyto(right[:, :d], x[j0:j1])
+        blas.dger(-1.0, shift, ones[: j1 - j0], a=right.T, overwrite_a=1)
+        right[:, d + 1] = q[j0:j1]
+        return right
+
     # one tile's inverse norms, reused so that two tiles are never alive
     scratch = np.empty(tile * tile)
     col_sums = np.zeros(n)
@@ -282,18 +312,19 @@ def _pair_sum(buf: np.ndarray, w: np.ndarray, threshold: float) -> tuple[np.ndar
     for i0 in range(0, n, tile):
         i1 = min(i0 + tile, n)
         m = i1 - i0
-        xi, qi = x[i0:i1], q[i0:i1]
+        qi = q[i0:i1]
         left = lhs[:m]
         # scaling by -2 is exact, so this gives -2 <X_i, X_j>_w bit for bit;
         # einsum writes the strided columns without ufunc buffers
-        np.einsum("ij,j->ij", xi, -2.0 * w, out=left[:, :d])
+        np.einsum("ij,j->ij", load(i0, i1)[:, :d], -2.0 * w, out=left[:, :d])
         left[:, d] = qi
-        left[:, d + 1] = 1.0
         t = np.zeros((m, d + 1))
         for j0 in reversed(range(i0, n, tile)):
             j1 = min(j0 + tile, n)
+            # the last row block meets only itself, loaded above
+            right = rhs[:m] if i1 == n else load(j0, j1)
             inv = scratch[: m * (j1 - j0)].reshape(m, j1 - j0)
-            np.matmul(left, buf[j0:j1].T, out=inv)
+            np.matmul(left, right.T, out=inv)
             if j0 == i0:
                 inv[on_or_below_diag[:m, :m]] = 0.0
             cut = threshold
@@ -301,15 +332,16 @@ def _pair_sum(buf: np.ndarray, w: np.ndarray, threshold: float) -> tuple[np.ndar
                 cut = np.maximum(threshold, ulps * np.add.outer(qi, q[j0:j1]))
             drop = inv <= cut
             inv[drop] = np.inf
-            np.reciprocal(inv, out=inv)
             retained += drop.size - np.count_nonzero(drop)
+            del drop  # a tile-sized mask, not kept beside the product below
+            np.reciprocal(inv, out=inv)
             col_sums[j0:j1] += inv.sum(axis=0)
             if j0 == i0:
                 # every tile of column block I lies in row blocks <= I
                 r = col_sums[i0:i1] + t[:, d] + inv.sum(axis=1)
                 np.fill_diagonal(inv, -0.5 * r)
-            t += inv @ buf[j0:j1, : d + 1]
-        accum += xi.T @ t[:, :d]
+            t += inv @ right[:, : d + 1]
+        accum += right[:, :d].T @ t[:, :d]
     accum *= -2.0
     return accum, 2 * retained
 
@@ -319,7 +351,7 @@ def covariance_hat(sample: FunctionalSample) -> DiscretizedKernel:
     x = sample.values
     xc = x - x.mean(axis=0)
     # numpy forms xc^T xc by BLAS syrk, one triangle mirrored: exactly symmetric
-    return DiscretizedKernel(sample.grid, xc.T @ xc / (x.shape[0] - 1), COVARIANCE)
+    return DiscretizedKernel(sample.grid, _readonly(xc.T @ xc / (len(x) - 1)), COVARIANCE)
 
 
 def bootstrap_mean_band(

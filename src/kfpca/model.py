@@ -31,6 +31,7 @@ from .core import (
     _check_index,
     _check_non_negative,
     _frozen_array,
+    _readonly,
     smooth_rows,
 )
 from .eigen import eigen_decompose, project_scores
@@ -222,10 +223,8 @@ def fit(sample: FunctionalSample, config: FitConfig) -> FpcaModel:
         raise InputError("fit needs at least 4 grid points")
 
     if config.presmooth:
-        sample = FunctionalSample(
-            sample.grid,
-            smooth_rows(sample.grid, sample.values, config.presmooth_bandwidth),
-        )
+        smoothed = smooth_rows(sample.grid, sample.values, config.presmooth_bandwidth)
+        sample = FunctionalSample(sample.grid, _readonly(smoothed))
 
     mean = mean_hat(sample)
     if config.method == KFPCA:
@@ -237,9 +236,9 @@ def fit(sample: FunctionalSample, config: FitConfig) -> FpcaModel:
     phi = eigen_decompose(
         kernel, k, smooth=config.eigen_smooth, bandwidth=config.eigen_bandwidth
     )
-    scores = project_scores(sample, mean, phi)
+    scores = _readonly(project_scores(sample, mean, phi))
     ev = kernel.eigenvalues
-    return FpcaModel(mean, phi, ev[:k], scores, config, float(ev[k:].sum()))
+    return FpcaModel(mean, _readonly(phi), ev[:k], scores, config, float(ev[k:].sum()))
 
 
 def reconstruct(model: FpcaModel, subject: int, n_components: int) -> Curve:

@@ -27,6 +27,7 @@ from .core import (
     _check_count,
     _check_index,
     _check_non_negative,
+    _readonly,
     derive_rng,
     make_regular_grid,
 )
@@ -233,7 +234,7 @@ def generate(scenario: SimulationScenario, run_index: int) -> TruthBundle:
     )
     values = scores @ basis + noise
     return TruthBundle(
-        sample=FunctionalSample(grid, values),
+        sample=FunctionalSample(grid, _readonly(values)),
         true_scores=scores,
         true_eigenfunctions=basis,
     )

@@ -4,6 +4,7 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from kfpca.core import (
+    _frozen_array,
     _local_linear_matrix,
     _weighted_dots,
     gcv_bandwidth_candidates,
@@ -437,6 +438,47 @@ class TestTypes:
         c = Curve(g, np.zeros(5))
         with pytest.raises(ValueError):
             c.values[0] = 1.0
+
+
+class TestFrozenArray:
+    def test_a_writable_array_is_copied(self):
+        values = np.arange(6.0).reshape(2, 3)
+        g = make_regular_grid(0, 1, 3)
+        sample = FunctionalSample(g, values)
+        values[0, 0] = 99.0
+        assert sample.values[0, 0] == 0.0
+        assert not sample.values.flags.writeable
+
+    def test_a_read_only_view_is_copied(self):
+        owner = np.arange(8.0)
+        view = owner[2:]
+        view.setflags(write=False)
+        frozen = _frozen_array(view)
+        assert frozen is not view and not np.shares_memory(frozen, owner)
+        owner[2] = 99.0
+        assert frozen[0] == 2.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda a: a.astype(np.float32),
+            lambda a: np.asfortranarray(a.reshape(2, 3)),
+            lambda a: a.view(np.matrix),
+        ],
+        ids=["float32", "fortran-order", "subclass"],
+    )
+    def test_other_read_only_arrays_are_copied(self, make):
+        values = make(np.arange(6.0))
+        values.setflags(write=False)
+        frozen = _frozen_array(values)
+        assert frozen is not values and not np.shares_memory(frozen, values)
+        assert type(frozen) is np.ndarray and frozen.dtype == np.float64
+
+    def test_a_read_only_owner_is_kept(self):
+        values = np.zeros((2, 3))
+        values.setflags(write=False)
+        assert _frozen_array(values) is values
+        assert FunctionalSample(make_regular_grid(0, 1, 3), values).values is values
 
 
 class TestDeriveRng:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import kfpca.eigen
 from kfpca import (
     ConfigurationError,
     Curve,
@@ -217,3 +218,24 @@ class TestProjectScores:
         phi = eigen_decompose(kendall_tau_hat(sample), 1)
         with pytest.raises(DimensionError):
             project_scores(sample, mean_hat(sample), phi[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_eigenfunctions_rejected(self, bad):
+        sample = noisy_sample(seed=14)
+        phi = eigen_decompose(kendall_tau_hat(sample), 2).copy()
+        phi[1, 7] = bad
+        with pytest.raises(InputError, match="finite"):
+            project_scores(sample, mean_hat(sample), phi)
+
+    @pytest.mark.parametrize("n", [7, 8, 40])
+    def test_row_blocks_match_a_row_by_row_projection(self, monkeypatch, n):
+        # blocks of 7 rows put curves on, beside and across block edges
+        monkeypatch.setattr(kfpca.eigen, "_PAIR_TILE", 7)
+        sample = noisy_sample(n=n, seed=15)
+        mean = mean_hat(sample)
+        phi = eigen_decompose(kendall_tau_hat(sample), 3)
+        scores = project_scores(sample, mean, phi)
+        w = sample.grid.weights
+        expected = [[w @ ((x - mean.values) * row) for row in phi] for x in sample.values]
+        assert scores.shape == (n, 3)
+        assert np.abs(scores - expected).max() < 1e-12 * np.abs(expected).max()

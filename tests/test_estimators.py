@@ -166,8 +166,8 @@ class TestKendallTauHat:
             for i in range(30)
             for j in range(i + 1, 30)
         )
-        buf, _ = _centered(duplicated)
-        _, ordered_retained = kfpca.estimators._pair_sum(buf, w, 0.0)
+        mu, q, _ = _centered(duplicated)
+        _, ordered_retained = kfpca.estimators._pair_sum(values, mu, q, w, 0.0)
         assert ordered_retained == 2 * loop_count == 30 * 29 - 4
         ref = pairwise_reference(values, w)
         assert np.abs(kernel.matrix - ref).max() < 1e-12
@@ -194,7 +194,7 @@ class TestKendallTauHat:
             for j in range(i + 1, len(x)):
                 diff = x[i] - x[j]
                 acc.append(w @ (diff * diff))
-        assert _centered(sample)[1] == pytest.approx(
+        assert _centered(sample)[2] == pytest.approx(
             np.mean(acc), rel=1e-12
         )
 
@@ -202,8 +202,10 @@ class TestKendallTauHat:
 def pair_sum(sample):
     """The pair sum and ordered retained-pair count behind kendall_tau_hat
     at its default degenerate_tol of 1e-12."""
-    buf, mean_sq_norm = _centered(sample)
-    return kfpca.estimators._pair_sum(buf, sample.grid.weights, 1e-12 * mean_sq_norm)
+    mu, q, mean_sq_norm = _centered(sample)
+    return kfpca.estimators._pair_sum(
+        sample.values, mu, q, sample.grid.weights, 1e-12 * mean_sq_norm
+    )
 
 
 class TestPairTiles:
@@ -252,18 +254,17 @@ class TestPairTiles:
     def test_scratch_does_not_grow_with_n(self):
         n = 2000
         sample = gaussian_case1_sample(n, seed=83)
-        d = sample.grid.size
         tracemalloc.start()
         try:
             kendall_tau_hat(sample)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the one N x (d + 2) buffer [X_c | 1 | q] and tile-sized arrays
-        # (one tile of inverse norms, its mask, row-block products); a
-        # second N x d array, such as a centered copy beside the buffer or
-        # an N x d diag(r) term, does not fit
-        budget = (n * (d + 2) + 3 * kfpca.estimators._PAIR_TILE**2) * 8
+        # tile-sized arrays (one tile of inverse norms, its masks, the
+        # tile x (d + 2) row-block operands and products) and a few
+        # length-N vectors; an N x d array beside them, such as a centered
+        # copy of the sample (0.8 MB here), does not fit
+        budget = (3 * kfpca.estimators._PAIR_TILE**2 + 4 * n) * 8
         assert peak < budget
 
 
@@ -433,7 +434,7 @@ class TestLeadingEigenvectors:
     # the largest k solved by inverse iteration; k + 1 takes divide and conquer
     @staticmethod
     def crossover(d):
-        return d // 10
+        return min(d // 5, 32)
 
     @pytest.mark.parametrize("kind", ["kendall", "covariance"])
     @pytest.mark.parametrize("n, d", [(100, 51), (200, 101), (30, 401)])

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import sys
+import tracemalloc
 from pathlib import Path
+
+import numpy as np
 
 from kfpca.cli import main
 
@@ -30,3 +33,24 @@ def test_every_stage_is_timed_and_the_library_is_left_as_it_was(tmp_path, capsys
     printed = {line.split()[0]: float(line.split()[1]) for line in lines[1:]}
     assert list(printed) == [*fit_stages.STAGES, "other", "total"]
     assert all(ms >= 0 for ms in printed.values())
+
+
+def test_peaks_are_read_per_stage_and_count_toward_the_outer_stage(capsys):
+    recorder = fit_stages.StagePeak()
+    inner = recorder.wrap("inner", lambda: np.ones(2**17).sum())  # a 1 MiB array
+    outer = recorder.wrap("outer", lambda: np.ones(2**15).sum() + inner())
+    tracemalloc.start()
+    try:
+        outer()
+        recorder.read()
+    finally:
+        tracemalloc.stop()
+    assert 2**20 <= recorder.bytes["inner"] <= recorder.bytes["outer"] <= recorder.total
+    assert recorder.bytes["outer"] < 2**20 + 2**18
+
+    assert fit_stages.main(["--n", "12", "--d", "9", "--ncomp", "2", "--repeats", "1", "--peak"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("tracemalloc peak KiB of one untimed run")
+    peaks = {line.split()[0]: float(line.split()[1]) for line in lines[start + 1 :]}
+    assert list(peaks) == [*fit_stages.STAGES, "total"]
+    assert all(0 < kib <= peaks["total"] for kib in peaks.values())

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from kfpca import (
     true_eigenfunctions,
 )
 import kfpca.eigen
+import kfpca.estimators
 import kfpca.model
 from kfpca.model import atomic_write
 
@@ -655,3 +657,47 @@ class TestSerialization:
         doc["scores"] = "bogus"
         with pytest.raises(ParseError):
             deserialize_model(doc)
+
+
+def _writable_memory(array: np.ndarray) -> bool:
+    """Whether ``array`` or an array it views can be written through."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return True
+        array = array.base
+    return False
+
+
+class TestFitMemory:
+    @pytest.mark.parametrize("n", [2000, 4000])
+    def test_working_memory_does_not_grow_with_n(self, n):
+        sample = generate(
+            SimulationScenario(distribution="skew_t", n_subjects=n, n_points=101, seed=84), 0
+        ).sample
+        tracemalloc.start()
+        try:
+            model = fit(sample, FitConfig(method="kfpca", n_components=0.95))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # beyond the N x K scores the fit keeps, only the pair sum's
+        # tile-sized arrays: no N x d centered copy (0.8 or 1.6 MB here)
+        # and no second copy of the scores
+        budget = 3 * kfpca.estimators._PAIR_TILE**2 * 8
+        assert peak - model.scores.nbytes < budget
+        assert model.scores.nbytes > budget / 4
+
+    @pytest.mark.parametrize("presmooth", [False, True])
+    @pytest.mark.parametrize("method", ["kfpca", "cov"])
+    def test_a_fitted_model_holds_no_writable_array(self, method, presmooth):
+        sample = generate(SimulationScenario(n_subjects=30, seed=85), 0).sample
+        model = fit(sample, FitConfig(method=method, n_components=3, presmooth=presmooth))
+        arrays = (
+            model.mean.values,
+            model.grid.points,
+            model.grid.weights,
+            model.eigenfunction_values,
+            model.operator_eigenvalues,
+            model.scores,
+        )
+        assert not any(map(_writable_memory, arrays))

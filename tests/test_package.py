@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import kfpca
@@ -58,6 +59,7 @@ def _run(imse, mse, run_index=0):
         lambda: kfpca.make_regular_grid(0, True, 3),
         lambda: kfpca.project_scores(_SAMPLE, _MEAN, "abc"),
         lambda: kfpca.project_scores(_SAMPLE, _MEAN, [[1.0, 2.0, 3.0], [1.0]]),
+        lambda: kfpca.project_scores(_SAMPLE, _MEAN, np.full((2, 3), np.nan)),
         lambda: _run("a", [0.0]),
         lambda: _run([0.1, 0.2], [0.1]),
         lambda: kfpca.aggregate([_run([0.1, 0.2], [0.1, 0.2]), _run([0.1], [0.1], 1)]),
@@ -75,7 +77,7 @@ def _run(imse, mse, run_index=0):
         "run-index-str", "run-index-bool", "evaluate-run-index-float",
         "grid-text-points", "curve-text-values", "ragged-sample",
         "rng-key-float", "rng-key-str", "grid-text-bound", "grid-bool-bound",
-        "project-text-phi", "project-ragged-phi", "run-metrics-text",
+        "project-text-phi", "project-ragged-phi", "project-nan-phi", "run-metrics-text",
         "run-metrics-unequal-lengths", "aggregate-unequal-runs",
         "rate-scalar-sizes", "rate-text-errors", "rate-diag-scalar-sizes",
         "rate-diag-text-sizes", "rate-diag-unequal-lengths", "rate-diag-nan-error",

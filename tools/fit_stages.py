@@ -26,6 +26,12 @@ each function above is replaced on the module attribute the command calls it
 through by a wrapper that adds its CPU time to the stage, and the originals
 are put back afterwards.  Set ``OPENBLAS_NUM_THREADS=1`` (or your BLAS's
 variable) for one BLAS thread, as the benchmark runs.
+
+With ``--peak``, one more run, untimed and under ``tracemalloc``, prints the
+peak of traced memory in KiB while each stage ran (everything the command
+had allocated by then counts), and the peak of the whole command.  The peak
+is reset as a stage starts and read as it ends; a stage called inside
+another counts toward the outer one's peak too.
 """
 
 import argparse
@@ -33,6 +39,7 @@ import contextlib
 import io
 import tempfile
 import time
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -80,12 +87,46 @@ class StageClock:
         return timed
 
 
+class StagePeak:
+    """tracemalloc peak per stage, in bytes, and of the whole run."""
+
+    def __init__(self):
+        self.bytes = defaultdict(int)
+        self.total = 0
+        self._open = []  # running peaks of the stages entered, innermost last
+
+    def read(self):
+        """Fold the peak since the last read into the open stages and the
+        total, and reset it."""
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        self.total = max(self.total, peak)
+        if self._open:
+            self._open[-1] = max(self._open[-1], peak)
+
+    def wrap(self, stage, fn):
+        def traced(*args, **kwargs):
+            self.read()
+            self._open.append(0)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.read()
+                peak = self._open.pop()
+                self.bytes[stage] = max(self.bytes[stage], peak)
+                if self._open:
+                    self._open[-1] = max(self._open[-1], peak)
+
+        return traced
+
+
 @contextlib.contextmanager
-def wrapped(clock: StageClock):
+def wrapped(recorder):
+    """Wrap each target with ``recorder.wrap`` (a StageClock or StagePeak)."""
     originals = [(mod, name, getattr(mod, name)) for mod, name, _ in TARGETS]
     try:
         for (mod, name, stage), (_, _, fn) in zip(TARGETS, originals):
-            setattr(mod, name, clock.wrap(stage, fn))
+            setattr(mod, name, recorder.wrap(stage, fn))
         yield
     finally:
         for mod, name, fn in originals:
@@ -102,10 +143,22 @@ def write_dataset(path, n: int, d: int):
     )
 
 
-def stage_times(n: int, d: int, ncomp="3", repeats=1) -> dict:
+def _run_fit(argv, recorder) -> int:
+    with wrapped(recorder), contextlib.redirect_stdout(io.StringIO()):
+        start = time.process_time_ns()
+        code = cli.main(argv)
+        total = time.process_time_ns() - start
+    if code != cli.EXIT_OK:
+        raise RuntimeError(f"kfpca fit exited {code}")
+    return total
+
+
+def stage_profile(n: int, d: int, ncomp="3", repeats=1, peak=False) -> tuple[dict, dict]:
     """Median CPU ms of each stage, ``other`` and ``total`` over ``repeats``
-    runs of ``kfpca fit --presmooth --eigen-smooth`` on an N x d dataset."""
-    runs = []
+    runs of ``kfpca fit --presmooth --eigen-smooth`` on an N x d dataset,
+    and, when ``peak`` is set, the KiB peak of each stage and ``total`` in
+    one more run under tracemalloc (else an empty dict)."""
+    runs, peaks = [], {}
     with tempfile.TemporaryDirectory() as tmp:
         data, out = Path(tmp) / "data.csv", Path(tmp) / "model.json"
         write_dataset(data, n, d)
@@ -113,17 +166,23 @@ def stage_times(n: int, d: int, ncomp="3", repeats=1) -> dict:
                 "--out", str(out)]
         for _ in range(repeats):
             clock = StageClock()
-            with wrapped(clock), contextlib.redirect_stdout(io.StringIO()):
-                start = time.process_time_ns()
-                code = cli.main(argv)
-                total = time.process_time_ns() - start
-            if code != cli.EXIT_OK:
-                raise RuntimeError(f"kfpca fit exited {code}")
+            total = _run_fit(argv, clock)
             row = {stage: clock.ns[stage] / 1e6 for stage in STAGES}
             row["other"] = total / 1e6 - sum(row.values())
             row["total"] = total / 1e6
             runs.append(row)
-    return {key: float(np.median([r[key] for r in runs])) for key in runs[0]}
+        if peak:
+            recorder = StagePeak()
+            tracemalloc.start()
+            try:
+                _run_fit(argv, recorder)
+                recorder.read()
+            finally:
+                tracemalloc.stop()
+            peaks = {stage: recorder.bytes[stage] / 1024 for stage in STAGES}
+            peaks["total"] = recorder.total / 1024
+    times = {key: float(np.median([r[key] for r in runs])) for key in runs[0]}
+    return times, peaks
 
 
 def main(argv=None) -> int:
@@ -132,12 +191,18 @@ def main(argv=None) -> int:
     parser.add_argument("--d", type=int, default=1441, help="grid points")
     parser.add_argument("--ncomp", default="3", help="kfpca fit --ncomp")
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--peak", action="store_true",
+                        help="also print each stage's tracemalloc peak, from one untimed run")
     args = parser.parse_args(argv)
-    times = stage_times(args.n, args.d, args.ncomp, args.repeats)
+    times, peaks = stage_profile(args.n, args.d, args.ncomp, args.repeats, args.peak)
     print(f"kfpca fit --presmooth --eigen-smooth --ncomp {args.ncomp}, N={args.n}, "
           f"d={args.d}: median CPU ms of {args.repeats} run(s)")
     for stage, ms in times.items():
         print(f"{stage:>13} {ms:10.1f} {100 * ms / times['total']:6.1f}%")
+    if peaks:
+        print("tracemalloc peak KiB of one untimed run")
+        for stage, kib in peaks.items():
+            print(f"{stage:>13} {kib:10.1f}")
     return 0
 
 
