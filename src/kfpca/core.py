@@ -17,10 +17,13 @@ from .errors import ConfigurationError, DimensionError, EstimationError, InputEr
 GCV_CANDIDATE_COUNT = 20
 
 
-def _float_array(values) -> np.ndarray:
-    """``values`` as a float array, not copied if they already are one;
-    InputError if they are not a rectangular array of numbers."""
+def _float_array(values, copy: bool = False) -> np.ndarray:
+    """``values`` as a float array, not copied if they already are one
+    unless ``copy`` asks for a fresh C-ordered ndarray; InputError if they
+    are not a rectangular array of numbers."""
     try:
+        if copy:
+            return np.array(values, dtype=float, order="C")
         return np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"values are not a rectangular array of numbers: {exc}") from None
@@ -31,7 +34,8 @@ def _frozen_array(values) -> np.ndarray:
     a C-ordered float64 ndarray that is read-only and owns its memory (as
     the library's own results handed over by ``_readonly`` are) is kept,
     so only a caller that sets it writable again could change it; any
-    other input is copied, so the caller's later writes miss it."""
+    other input is converted into one fresh array, so the caller's later
+    writes miss it."""
     if (
         type(values) is np.ndarray
         and values.dtype == np.float64
@@ -40,9 +44,7 @@ def _frozen_array(values) -> np.ndarray:
         and values.flags.c_contiguous
     ):
         return values
-    out = _float_array(values).copy()
-    out.setflags(write=False)
-    return out
+    return _readonly(_float_array(values, copy=True))
 
 
 def _readonly(values: np.ndarray) -> np.ndarray:

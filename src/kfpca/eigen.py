@@ -1,15 +1,10 @@
-"""Weighted eigenanalysis of a discretized kernel, on arrays.
+"""Eigenfunctions and scores of a discretized kernel, on arrays.
 
-The operator eigenproblem  integral K(s, t) phi(s) ds = lambda phi(t)
-discretizes to  M W phi = lambda phi  with W = diag(quadrature weights).
-Conjugating by W^{1/2} turns that into an ordinary symmetric eigenproblem
-whose eigenvectors map back to functions orthonormal in the quadrature
-inner product, which is exactly the normalization  integral phi_k^2 = 1.
-``DiscretizedKernel`` reduces that problem once to tridiagonal form and
-keeps its full spectrum; ``eigen_decompose`` asks the kernel for the K
-leading eigenvectors only and turns them into a K x d array of
-eigenfunction values (the eigenvalues are ``kernel.eigenvalues[:K]``), and
-``project_scores`` takes that array.
+``DiscretizedKernel`` owns the weighted eigenproblem and hands out its K
+leading eigenfunctions, orthonormal in the quadrature inner product
+(the eigenvalues are ``kernel.eigenvalues[:K]``); ``eigen_decompose``
+optionally smooths them and fixes their signs, and ``project_scores``
+takes the resulting K x d array.
 """
 
 import numpy as np
@@ -31,13 +26,10 @@ def _apply_sign_convention(phi: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def eigen_decompose(
-    kernel: DiscretizedKernel,
-    n_components: int,
-    smooth: bool = False,
-    bandwidth="auto",
+    kernel: DiscretizedKernel, n_components: int, bandwidth=None
 ) -> np.ndarray:
-    """Leading eigenfunctions of a kernel's weighted eigenproblem, from the
-    K eigenvectors ``kernel.leading_eigenvectors(K)`` computes.
+    """Leading eigenfunctions of a kernel's weighted eigenproblem, from
+    ``kernel.eigenfunctions(K)``, optionally smoothed, with fixed signs.
 
     Parameters
     ----------
@@ -46,12 +38,12 @@ def eigen_decompose(
     n_components : int
         Number of leading eigenfunctions to return; the kernel raises
         ConfigurationError unless 1 <= K <= d.
-    smooth : bool
-        If True, each returned eigenfunction is local-linear smoothed and
-        then rescaled back to unit quadrature norm.  Orthogonality is not
-        re-imposed after smoothing.
-    bandwidth : positive float or "auto"
-        Passed through to the smoother when ``smooth`` is set.
+    bandwidth : None, positive float or "auto"
+        None leaves the eigenfunctions unsmoothed.  Otherwise each is
+        local-linear smoothed with this bandwidth ("auto": GCV per row) and
+        rescaled back to unit quadrature norm; orthogonality is not
+        re-imposed after smoothing.  Any other value is a
+        ConfigurationError.
 
     Returns
     -------
@@ -62,10 +54,8 @@ def eigen_decompose(
         signs fixed so each row integrates to a non-negative value.
     """
     w = kernel.grid.weights
-    # rows in C order: the smoother and the score projection multiply by
-    # them, and the layout decides how those products round
-    phi = np.ascontiguousarray(kernel.leading_eigenvectors(n_components).T) / np.sqrt(w)
-    if smooth:
+    phi = kernel.eigenfunctions(n_components)
+    if bandwidth is not None:
         # smoothing is odd in each row (S(-y) = -S y), so signs are fixed once, last
         phi = smooth_rows(kernel.grid, phi, bandwidth)
         norms = _weighted_dots(phi * phi, w)

@@ -24,9 +24,6 @@ from .core import (
 )
 from .errors import ConfigurationError, EstimationError, InputError
 
-KENDALL = "kendall"
-COVARIANCE = "covariance"
-
 SYMMETRY_RTOL = 1e-10
 PSD_RTOL = 1e-8
 TRACE_ATOL = 1e-8
@@ -41,23 +38,22 @@ _PAIR_TILE = 256
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedKernel:
-    """A symmetric kernel function evaluated on a grid x grid mesh.
+    """A symmetric PSD kernel function on a grid x grid mesh and its
+    weighted eigenproblem M W phi = lambda phi, W = diag(weights): the
+    discretized  integral K(s, t) phi(s) ds = lambda phi(t).
 
-    ``kind`` records which estimator produced the matrix; the pairwise
-    sign-based kind additionally carries a unit weighted trace.
-
-    Construction reduces W^{1/2} M W^{1/2}, W = diag(weights) (see
-    ``eigen``), once to tridiagonal form T = Q^T (W^{1/2} M W^{1/2}) Q by
-    Householder reflections (LAPACK dsytrd) and keeps ``eigenvalues``, the
-    full descending spectrum of T (dsterf).  By Sylvester's law of inertia
-    their signs are M's own, so the PSD check reads them.  No eigenvector is
-    formed then: ``leading_eigenvectors(k)`` computes the k leading ones of
-    T and maps only those back through the stored reflections.
+    Construction reduces W^{1/2} M W^{1/2} once to tridiagonal form
+    T = Q^T (W^{1/2} M W^{1/2}) Q by Householder reflections (LAPACK
+    dsytrd) and keeps ``eigenvalues``, the full descending spectrum of T
+    (dsterf).  By Sylvester's law of inertia their signs are M's own, so
+    the PSD check reads them.  No eigenvector is formed then:
+    ``eigenfunctions(k)`` computes the k leading unit eigenvectors v of T's
+    problem and maps only those back, through the stored reflections, to
+    phi = W^{-1/2} v, orthonormal in the quadrature inner product.
     """
 
     grid: Grid
     matrix: np.ndarray
-    kind: str
     eigenvalues: np.ndarray = field(init=False, repr=False)
     # dsytrd's output: T's diagonal and off-diagonal, and Q as reflectors
     # below the first subdiagonal of _reflectors with their scalars _tau
@@ -69,8 +65,6 @@ class DiscretizedKernel:
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen_array(self.matrix))
         m = self.matrix
-        if self.kind not in (KENDALL, COVARIANCE):
-            raise ConfigurationError(f"unknown kernel kind {self.kind!r}")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != self.grid.size:
             raise InputError("kernel matrix must be d x d for the grid's d")
         scale = float(np.abs(m).max())
@@ -95,10 +89,6 @@ class DiscretizedKernel:
             raise EstimationError(
                 f"kernel matrix is not positive semidefinite (min eig {evals[0]:.3e})"
             )
-        if self.kind == KENDALL and abs(self.weighted_trace - 1.0) > TRACE_ATOL:
-            raise EstimationError(
-                f"weighted trace of a {KENDALL} kernel must be 1, got {self.weighted_trace!r}"
-            )
         for name, value in (
             ("eigenvalues", evals[::-1]),
             ("_diagonal", diag),
@@ -113,9 +103,11 @@ class DiscretizedKernel:
     def weighted_trace(self) -> float:
         return float(self.grid.weights @ np.diag(self.matrix))
 
-    def leading_eigenvectors(self, k: int) -> np.ndarray:
-        """The d x k matrix whose column j is the unit eigenvector of
-        W^{1/2} M W^{1/2} paired with ``eigenvalues[j]``, for j < k.
+    def eigenfunctions(self, k: int) -> np.ndarray:
+        """The C-ordered k x d array whose row j is W^{-1/2} v_j, v_j the
+        unit eigenvector of W^{1/2} M W^{1/2} paired with ``eigenvalues[j]``:
+        the k leading eigenfunctions on the grid, orthonormal in the
+        quadrature inner product, with signs as LAPACK leaves them.
 
         The k leading eigenvectors of the tridiagonal T come from inverse
         iteration (dstein) on the k leading stored eigenvalues when
@@ -123,11 +115,11 @@ class DiscretizedKernel:
         solve (dstevd), of which the last k columns are kept.  Either way
         only those k columns are multiplied by Q (dormqr).  Inverse
         iteration costs grow with k, divide and conquer costs the same for
-        any k; timed from T to the d x k result on skew-t kernels of both
-        kinds (one BLAS thread, OpenBLAS 0.3.31, 2-vCPU x86-64 guest),
-        dstein stayed the faster up to k = 24 of d = 51 (N = 100), 48 of
-        d = 101, 48 of d = 401 and 56 of d = 1441 (N = 200), so the rule
-        keeps below each break-even.  MRRR (dstemr, index range) was slower
+        any k; timed from T to the d x k eigenvectors on skew-t Kendall
+        and covariance kernels (one BLAS thread, OpenBLAS 0.3.31, 2-vCPU
+        x86-64 guest), dstein stayed the faster up to k = 24 of d = 51
+        (N = 100), 48 of d = 101, 48 of d = 401 and 56 of d = 1441
+        (N = 200), so the rule keeps below each break-even.  MRRR (dstemr, index range) was slower
         than either there: 0.099 ms at (d, k) = (51, 2) against dstein's
         0.032, 2.55 ms at (101, 75) against dstevd's 0.93.
         Raises EstimationError when LAPACK reports a failure.
@@ -160,7 +152,8 @@ class DiscretizedKernel:
         )
         _lapack_info("dormqr", info)
         out[:, 1:] = q_z.T
-        return out.T
+        out /= np.sqrt(self.grid.weights)
+        return out
 
 
 def _lapack_info(routine: str, info: int) -> None:
@@ -182,7 +175,7 @@ class MeanBand:
 
 def mean_hat(sample: FunctionalSample) -> Curve:
     """Pointwise average curve across subjects."""
-    return Curve(sample.grid, sample.values.mean(axis=0))
+    return Curve(sample.grid, _readonly(sample.values.mean(axis=0)))
 
 
 def _centered(sample: FunctionalSample) -> tuple[np.ndarray, np.ndarray, float]:
@@ -233,7 +226,8 @@ def kendall_tau_hat(
     ConfigurationError
         ``degenerate_tol`` not a number, negative, infinite or NaN.
     EstimationError
-        Every pair degenerate (e.g. all curves identical).
+        Every pair degenerate (e.g. all curves identical), or the weighted
+        trace off one by more than ``TRACE_ATOL``.
     """
     _check_non_negative("degenerate_tol", degenerate_tol)
     mu, q, mean_sq_norm = _centered(sample)
@@ -245,7 +239,12 @@ def kendall_tau_hat(
     # (accum + accum^T) / 2 is the unordered-pair sum, which has
     # ordered_retained / 2 terms
     accum /= ordered_retained
-    return DiscretizedKernel(sample.grid, _readonly(accum + accum.T), KENDALL)
+    kernel = DiscretizedKernel(sample.grid, _readonly(accum + accum.T))
+    if abs(kernel.weighted_trace - 1.0) > TRACE_ATOL:
+        raise EstimationError(
+            f"weighted trace of a kendall kernel must be 1, got {kernel.weighted_trace!r}"
+        )
+    return kernel
 
 
 def _pair_sum(
@@ -351,7 +350,7 @@ def covariance_hat(sample: FunctionalSample) -> DiscretizedKernel:
     x = sample.values
     xc = x - x.mean(axis=0)
     # numpy forms xc^T xc by BLAS syrk, one triangle mirrored: exactly symmetric
-    return DiscretizedKernel(sample.grid, _readonly(xc.T @ xc / (len(x) - 1)), COVARIANCE)
+    return DiscretizedKernel(sample.grid, _readonly(xc.T @ xc / (len(x) - 1)))
 
 
 def bootstrap_mean_band(

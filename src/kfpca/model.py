@@ -233,9 +233,8 @@ def fit(sample: FunctionalSample, config: FitConfig) -> FpcaModel:
         kernel = covariance_hat(sample)
 
     k = _select_k(kernel.eigenvalues, config.n_components)
-    phi = eigen_decompose(
-        kernel, k, smooth=config.eigen_smooth, bandwidth=config.eigen_bandwidth
-    )
+    bandwidth = config.eigen_bandwidth if config.eigen_smooth else None
+    phi = eigen_decompose(kernel, k, bandwidth)
     scores = _readonly(project_scores(sample, mean, phi))
     ev = kernel.eigenvalues
     return FpcaModel(mean, _readonly(phi), ev[:k], scores, config, float(ev[k:].sum()))
@@ -309,7 +308,7 @@ def deserialize_model(doc: dict) -> FpcaModel:
         )
 
     def array(key):
-        return _parse(key, lambda: np.asarray(doc[key], dtype=float))
+        return _parse(key, lambda: _frozen_array(doc[key]))
 
     grid = _parse("grid", lambda: Grid(doc["grid"]["points"]))
     mean = _parse("mean", lambda: Curve(grid, doc["mean"]))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, note, settings
@@ -473,6 +475,18 @@ class TestFrozenArray:
         frozen = _frozen_array(values)
         assert frozen is not values and not np.shares_memory(frozen, values)
         assert type(frozen) is np.ndarray and frozen.dtype == np.float64
+
+    def test_a_list_is_converted_once(self):
+        # one conversion straight into the kept array: no float array
+        # beside it, as a convert-then-copy would hold
+        values = [float(i) for i in range(200_000)]
+        tracemalloc.start()
+        try:
+            frozen = _frozen_array(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * frozen.nbytes
 
     def test_a_read_only_owner_is_kept(self):
         values = np.zeros((2, 3))

@@ -30,7 +30,7 @@ def case1_kernel(lambdas=(16.0, 9.0)):
     m = lambdas[0] * np.outer(phi1.values, phi1.values) + lambdas[1] * np.outer(
         phi2.values, phi2.values
     )
-    return DiscretizedKernel(g, m, "covariance"), phi1, phi2
+    return DiscretizedKernel(g, m), phi1, phi2
 
 
 def noisy_sample(n=60, seed=0):
@@ -41,9 +41,7 @@ class TestEigenDecompose:
     def test_rank_one_kernel(self):
         g = make_regular_grid(0, 10, 51)
         phi1, _ = true_eigenfunctions(1, g)
-        kernel = DiscretizedKernel(
-            g, np.outer(phi1.values, phi1.values), "covariance"
-        )
+        kernel = DiscretizedKernel(g, np.outer(phi1.values, phi1.values))
         phi = eigen_decompose(kernel, g.size)
         assert phi.shape == (g.size, g.size)
         assert kernel.eigenvalues[0] == pytest.approx(1.0, abs=1e-8)
@@ -115,7 +113,7 @@ class TestEigenDecompose:
         # only the leading (signal) eigenfunctions are smooth objects; the
         # relaxed orthogonality bound applies to them
         kernel = kendall_tau_hat(noisy_sample(n=80, seed=7))
-        phi = eigen_decompose(kernel, 3, smooth=True, bandwidth=bandwidth)
+        phi = eigen_decompose(kernel, 3, bandwidth)
         funcs = [Curve(kernel.grid, row) for row in phi]
         for c in funcs:
             assert inner_product(c, c) == pytest.approx(1.0, abs=1e-10)
@@ -128,26 +126,25 @@ class TestEigenDecompose:
         with pytest.raises(ConfigurationError):
             eigen_decompose(kernel, 0)
 
+    @pytest.mark.parametrize("bandwidth", [-1.0, 0.0, float("nan"), True, "junk"])
+    def test_bandwidth_validated(self, bandwidth):
+        # None is the one value that skips smoothing; any other is checked
+        kernel, _, _ = case1_kernel()
+        with pytest.raises(ConfigurationError, match="bandwidth"):
+            eigen_decompose(kernel, 2, bandwidth)
+
     def test_asymmetric_matrix_rejected_at_construction(self):
         g = make_regular_grid(0, 1, 4)
         m = np.eye(4)
         m[0, 1] = 0.5
         with pytest.raises(InputError):
-            DiscretizedKernel(g, m, "covariance")
+            DiscretizedKernel(g, m)
 
     def test_non_psd_matrix_rejected_at_construction(self):
         g = make_regular_grid(0, 1, 4)
         m = np.diag([1.0, 1.0, 1.0, -0.5])
         with pytest.raises(EstimationError):
-            DiscretizedKernel(g, m, "covariance")
-
-    def test_kendall_kernel_needs_unit_weighted_trace(self):
-        g = make_regular_grid(0, 1, 4)
-        m = 2.0 * np.eye(4) / g.weights.sum()
-        DiscretizedKernel(g, m, "covariance")
-        with pytest.raises(EstimationError):
-            DiscretizedKernel(g, m, "kendall")
-        DiscretizedKernel(g, m / 2.0, "kendall")
+            DiscretizedKernel(g, m)
 
     def test_leading_pairs_are_the_kernels_own(self):
         kernel = kendall_tau_hat(noisy_sample(seed=8))

@@ -172,6 +172,22 @@ class TestKendallTauHat:
         ref = pairwise_reference(values, w)
         assert np.abs(kernel.matrix - ref).max() < 1e-12
 
+    def test_off_unit_weighted_trace_raises(self, monkeypatch):
+        # unit trace is the pair sum's invariant, so the estimator checks it;
+        # the kernel type takes a kernel of any trace
+        pair_sum = kfpca.estimators._pair_sum
+
+        def doubled(*args):
+            accum, ordered_retained = pair_sum(*args)
+            return 2.0 * accum, ordered_retained
+
+        monkeypatch.setattr(kfpca.estimators, "_pair_sum", doubled)
+        with pytest.raises(EstimationError, match="weighted trace"):
+            kendall_tau_hat(gaussian_case1_sample(20, seed=13))
+        g = make_regular_grid(0, 1, 4)
+        m = 2.0 * np.eye(4) / g.weights.sum()
+        assert kfpca.estimators.DiscretizedKernel(g, m).weighted_trace == pytest.approx(2.0)
+
     def test_all_identical_raises(self):
         g = make_regular_grid(0, 1, 5)
         sample = FunctionalSample(g, np.tile(np.sin(g.points), (4, 1)))
@@ -408,24 +424,24 @@ def dense_solved(kernel):
     return kernel, a, evals[::-1], vecs[:, ::-1]
 
 
-def check_leading_eigenvectors(kernel, a, evals, vecs, k):
-    """Eigenvectors agree with the dense solver's where the eigenvalue is
-    simple (a repeated one, such as the null space of a rank-deficient
-    kernel, has no unique basis), and every column is an orthonormal
-    eigenvector of the weighted matrix."""
+def check_eigenfunctions(kernel, a, evals, vecs, k):
+    """Eigenfunctions, mapped to eigenvectors v = W^1/2 phi of the weighted
+    matrix, agree with the dense solver's where the eigenvalue is simple (a
+    repeated one, such as the null space of a rank-deficient kernel, has no
+    unique basis); every row is an eigenfunction, and the rows are
+    orthonormal in the quadrature inner product."""
     lam_max = evals[0]
     assert np.abs(kernel.eigenvalues - evals).max() <= 1e-14 * lam_max
-    v = kernel.leading_eigenvectors(k)
-    assert v.shape == (kernel.grid.size, k)
+    phi = kernel.eigenfunctions(k)
+    assert phi.shape == (k, kernel.grid.size) and phi.flags.c_contiguous
+    v = (phi * np.sqrt(kernel.grid.weights)).T
     gaps = np.abs(np.diff(evals))
     gap = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))[:k]
     simple = gap > 1e-8 * lam_max
     cos = np.abs(np.sum(v * vecs[:, :k], axis=0))
     assert simple[: min(k, 2)].all()
     assert (1.0 - cos[simple]).max() <= 1e-12
-    # orthonormal in the quadrature inner product as eigenfunctions v / sqrt(w)
-    phi = v / np.sqrt(kernel.grid.weights)[:, None]
-    gram = (phi * kernel.grid.weights[:, None]).T @ phi
+    gram = (phi * kernel.grid.weights) @ phi.T
     assert np.abs(gram - np.eye(k)).max() <= 1e-12
     assert np.abs(a @ v - v * kernel.eigenvalues[:k]).max() <= 1e-12 * lam_max
 
@@ -442,13 +458,13 @@ class TestLeadingEigenvectors:
         kernel, a, evals, vecs = solved_kernel(kind, n, d)
         c = self.crossover(d)
         for k in sorted({1, 2, c - 1, c, c + 1, d // 2, d} - {0}):
-            check_leading_eigenvectors(kernel, a, evals, vecs, k)
+            check_eigenfunctions(kernel, a, evals, vecs, k)
 
     @pytest.mark.parametrize("kind", ["kendall", "covariance"])
     def test_clustered_leading_pair(self, kind):
         kernel, a, evals, vecs = solved_kernel(kind, 100, 51, lambdas=(9.0, 9.0))
         for k in (1, 2, 3, 4, 25, 51):
-            check_leading_eigenvectors(kernel, a, evals, vecs, k)
+            check_eigenfunctions(kernel, a, evals, vecs, k)
 
     @pytest.mark.parametrize("kind", ["kendall", "covariance"])
     def test_reducible_tridiagonal(self, kind):
@@ -464,7 +480,7 @@ class TestLeadingEigenvectors:
         solved = dense_solved(kernel)
         assert np.count_nonzero(kernel._off_diagonal[:30]) == 0
         for k in (1, 2, 10, 11, 50):
-            check_leading_eigenvectors(*solved, k)
+            check_eigenfunctions(*solved, k)
 
     def test_eigenvalues_repeated_across_split_blocks(self):
         # W^1/2 M W^1/2 = diag(C, A, A): C holds the two simple leading
@@ -482,12 +498,12 @@ class TestLeadingEigenvectors:
         grid = make_regular_grid(0, 1, 60)
         inv_sqrt_w = 1.0 / np.sqrt(grid.weights)
         matrix = inv_sqrt_w[:, None] * b * inv_sqrt_w[None, :]
-        kernel = kfpca.estimators.DiscretizedKernel(grid, (matrix + matrix.T) / 2, "covariance")
+        kernel = kfpca.estimators.DiscretizedKernel(grid, (matrix + matrix.T) / 2)
         solved = dense_solved(kernel)
         assert np.count_nonzero(kernel._off_diagonal[[19, 39]]) == 0
         assert abs(kernel.eigenvalues[2] - kernel.eigenvalues[3]) <= 1e-14 * 16
         for k in (1, 2, 4, 6, 7, 30, 60):
-            check_leading_eigenvectors(*solved, k)
+            check_eigenfunctions(*solved, k)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_inverse_iteration_starts_from_the_stored_spectrum(self, k, monkeypatch):
@@ -500,7 +516,7 @@ class TestLeadingEigenvectors:
             return fn(diag, off, w, block, split)
 
         monkeypatch.setattr(kfpca.estimators.lapack, "dstein", recording)
-        kernel.leading_eigenvectors(k)
+        kernel.eigenfunctions(k)
         assert len(received) == 1
         assert np.array_equal(received[0], kernel.eigenvalues[k - 1 :: -1])
 
@@ -522,8 +538,8 @@ class TestLeadingEigenvectors:
         counting("dstein")
         counting("dstevd")
         c = self.crossover(d)
-        kernel.leading_eigenvectors(c)
-        kernel.leading_eigenvectors(c + 1)
+        kernel.eigenfunctions(c)
+        kernel.eigenfunctions(c + 1)
         # inverse iteration takes the kernel's stored eigenvalues, so no
         # second bisection runs
         assert calls == ["dstein", "dstevd"]
@@ -539,7 +555,7 @@ class TestLeadingEigenvectors:
 
         monkeypatch.setattr(kfpca.estimators.lapack, name, failing)
         with pytest.raises(EstimationError, match=name):
-            kernel.leading_eigenvectors(k)
+            kernel.eigenfunctions(k)
 
     @pytest.mark.parametrize("k", [0, 52, 2.5, 2.0, True, "2"])
     def test_count_out_of_range(self, k):
@@ -547,7 +563,7 @@ class TestLeadingEigenvectors:
         # LAPACK failure or a raw TypeError
         kernel = solved_kernel("kendall", 100, 51)[0]
         with pytest.raises(ConfigurationError):
-            kernel.leading_eigenvectors(k)
+            kernel.eigenfunctions(k)
         with pytest.raises(ConfigurationError):
             eigen_decompose(kernel, k)
 

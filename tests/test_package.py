@@ -34,6 +34,7 @@ _SCENARIO = kfpca.SimulationScenario(n_subjects=5, n_points=6, runs=2)
 _GRID = kfpca.make_regular_grid(0, 1, 3)
 _SAMPLE = kfpca.FunctionalSample(_GRID, [[1.0, 2.0, 3.0], [2.0, 3.0, 5.0]])
 _MEAN = kfpca.Curve(_GRID, [0.0, 0.0, 0.0])
+_KERNEL = kfpca.covariance_hat(_SAMPLE)
 
 
 def _run(imse, mse, run_index=0):
@@ -60,6 +61,8 @@ def _run(imse, mse, run_index=0):
         lambda: kfpca.project_scores(_SAMPLE, _MEAN, "abc"),
         lambda: kfpca.project_scores(_SAMPLE, _MEAN, [[1.0, 2.0, 3.0], [1.0]]),
         lambda: kfpca.project_scores(_SAMPLE, _MEAN, np.full((2, 3), np.nan)),
+        lambda: kfpca.eigen_decompose(_KERNEL, 2, bandwidth=-1.0),
+        lambda: kfpca.eigen_decompose(_KERNEL, 2, bandwidth="junk"),
         lambda: _run("a", [0.0]),
         lambda: _run([0.1, 0.2], [0.1]),
         lambda: kfpca.aggregate([_run([0.1, 0.2], [0.1, 0.2]), _run([0.1], [0.1], 1)]),
@@ -77,7 +80,8 @@ def _run(imse, mse, run_index=0):
         "run-index-str", "run-index-bool", "evaluate-run-index-float",
         "grid-text-points", "curve-text-values", "ragged-sample",
         "rng-key-float", "rng-key-str", "grid-text-bound", "grid-bool-bound",
-        "project-text-phi", "project-ragged-phi", "project-nan-phi", "run-metrics-text",
+        "project-text-phi", "project-ragged-phi", "project-nan-phi",
+        "eigen-negative-bandwidth", "eigen-text-bandwidth", "run-metrics-text",
         "run-metrics-unequal-lengths", "aggregate-unequal-runs",
         "rate-scalar-sizes", "rate-text-errors", "rate-diag-scalar-sizes",
         "rate-diag-text-sizes", "rate-diag-unequal-lengths", "rate-diag-nan-error",
