@@ -160,7 +160,13 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 
 
 def cmd_fit(args) -> int:
-    sample = read_dataset(args.input)
+    """Check the options, then fit the dataset and save the model.
+
+    The sample read from the file is handed to ``fit`` and not kept here:
+    CPython 3.11 and later move a call's arguments into the callee's frame,
+    so once ``fit`` rebinds its ``sample`` to the presmoothed one, the raw
+    curves are freed and the kernel stage holds one N x d matrix of curves,
+    not two."""
     config = FitConfig(
         method=args.method,
         n_components=_parse_ncomp(args.ncomp),
@@ -169,7 +175,7 @@ def cmd_fit(args) -> int:
         eigen_smooth=args.eigen_smooth,
         eigen_bandwidth=_parse_bandwidth(args.eigen_bandwidth),
     )
-    model = fit(sample, config)
+    model = fit(read_dataset(args.input), config)
     save_model(model, args.out)
     variances = " ".join(f"{v:.6g}" for v in model.component_variances)
     print(f"components: {model.n_components}")

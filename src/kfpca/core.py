@@ -16,6 +16,11 @@ from .errors import ConfigurationError, DimensionError, EstimationError, InputEr
 
 GCV_CANDIDATE_COUNT = 20
 
+# rows per block wherever N x d curves are worked through in pieces (GCV
+# smoothing, centering, the pair sum's square tiles, score projection): a
+# float64 block of d = 101 columns is 202 KiB, whatever N is
+_PAIR_TILE = 256
+
 
 def _float_array(values, copy: bool = False) -> np.ndarray:
     """``values`` as a float array, not copied if they already are one
@@ -283,6 +288,12 @@ def smooth_rows(grid: Grid, values: np.ndarray, bandwidth="auto") -> np.ndarray:
     picks for each row separately the generalized cross-validation minimizer
     over a fixed log-spaced candidate set (on ties the smaller bandwidth).
     Raises EstimationError if no candidate gives a row a finite score.
+
+    Beyond its input and the n x d result, a smooth holds three d x d
+    arrays (the grid differences, the smoother and its work space) and,
+    under "auto", the fits and residuals of one ``_PAIR_TILE``-row block
+    and n best scores: each candidate's smoother is built once and the
+    rows are scored against it block by block.
     """
     bandwidth = _check_bandwidth("bandwidth", bandwidth)
     dt = grid.points[None, :] - grid.points[:, None]
@@ -290,21 +301,24 @@ def smooth_rows(grid: Grid, values: np.ndarray, bandwidth="auto") -> np.ndarray:
     if bandwidth != "auto":
         _local_linear_matrix(dt, bandwidth, k, s)
         return values @ s.T
-    d = grid.size
+    n, d = len(values), grid.size
     out = np.empty_like(values)
-    fitted = np.empty_like(values)
-    resid = np.empty_like(values)
-    best = np.full(values.shape[0], np.inf)
+    fitted = np.empty((min(_PAIR_TILE, n), d))
+    resid = np.empty_like(fitted)
+    best = np.full(n, np.inf)
     for cand in gcv_bandwidth_candidates(grid):
         df = d - _local_linear_matrix(dt, cand, k, s)
         if df < 1e-8:
             continue
-        np.matmul(values, s.T, out=fitted)
-        np.subtract(values, fitted, out=resid)
-        score = d * np.einsum("ij,ij->i", resid, resid) / df**2
-        better = score < best
-        best[better] = score[better]
-        np.copyto(out, fitted, where=better[:, None])
+        for i0 in range(0, n, _PAIR_TILE):
+            rows = values[i0 : i0 + _PAIR_TILE]
+            fit = np.matmul(rows, s.T, out=fitted[: len(rows)])
+            res = np.subtract(rows, fit, out=resid[: len(rows)])
+            score = d * np.einsum("ij,ij->i", res, res) / df**2
+            best_rows = best[i0 : i0 + len(rows)]
+            better = score < best_rows
+            best_rows[better] = score[better]
+            np.copyto(out[i0 : i0 + len(rows)], fit, where=better[:, None])
     if not np.all(np.isfinite(best)):
         raise EstimationError("no GCV bandwidth gives a finite score")
     return out

@@ -9,9 +9,16 @@ takes the resulting K x d array.
 
 import numpy as np
 
-from .core import Curve, FunctionalSample, _float_array, _weighted_dots, smooth_rows
+from .core import (
+    _PAIR_TILE,
+    Curve,
+    FunctionalSample,
+    _float_array,
+    _weighted_dots,
+    smooth_rows,
+)
 from .errors import DimensionError, EstimationError, InputError
-from .estimators import _PAIR_TILE, DiscretizedKernel
+from .estimators import DiscretizedKernel
 
 SIGN_TIE_ATOL = 1e-8
 

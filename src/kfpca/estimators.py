@@ -13,6 +13,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .core import (
+    _PAIR_TILE,
     Curve,
     FunctionalSample,
     Grid,
@@ -30,10 +31,6 @@ TRACE_ATOL = 1e-8
 
 # purpose tag for bootstrap replicate streams (see core.derive_rng)
 _BOOTSTRAP_STREAM = 11
-
-# edge of the square pair tiles: each float64 scratch array of the pair sum
-# is 512 KiB, whatever N is
-_PAIR_TILE = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +272,10 @@ def _pair_sum(
     j > i, so each unordered pair is visited once.  Rows are centered one
     tile at a time into one tile-sized rhs, which after a row block's last
     (diagonal) tile holds X_I: every scratch array is tile sized, and
-    beyond ``x`` and ``q`` the sum holds one length-N vector.
+    beyond ``x`` and ``q`` the sum holds one length-N vector.  A row
+    block's first tile, the last column block, writes its product straight
+    into T_I, so the one tile of N <= ``_PAIR_TILE`` makes no product
+    temporary.
     """
     n, d = x.shape
     # the GEMM's rounding error is bounded by d + 2 ulps of q_i + q_j: a
@@ -339,18 +339,39 @@ def _pair_sum(
                 # every tile of column block I lies in row blocks <= I
                 r = col_sums[i0:i1] + t[:, d] + inv.sum(axis=1)
                 np.fill_diagonal(inv, -0.5 * r)
-            t += inv @ right[:, : d + 1]
+            if j1 == n:
+                # the row block's first tile: t is still zero, so the
+                # product is written into it, not added from a temporary
+                np.matmul(inv, right[:, : d + 1], out=t)
+            else:
+                t += inv @ right[:, : d + 1]
         accum += right[:, :d].T @ t[:, :d]
     accum *= -2.0
     return accum, 2 * retained
 
 
 def covariance_hat(sample: FunctionalSample) -> DiscretizedKernel:
-    """Sample covariance matrix across subjects (divisor N - 1)."""
+    """Sample covariance matrix across subjects (divisor N - 1).
+
+    The centered curves are summed as X_I^T X_I over ``_PAIR_TILE``-row
+    blocks I, so beyond the sample the estimate holds one block of centered
+    rows and two d x d arrays, never an N x d centered copy.  Up to
+    ``_PAIR_TILE`` curves form one block, whose sum is the whole product;
+    more move the matrix by rounding only, about 1e-15 relative.
+    """
     x = sample.values
-    xc = x - x.mean(axis=0)
-    # numpy forms xc^T xc by BLAS syrk, one triangle mirrored: exactly symmetric
-    return DiscretizedKernel(sample.grid, _readonly(xc.T @ xc / (len(x) - 1)))
+    n, d = x.shape
+    mu = x.mean(axis=0)
+    block = np.empty((min(_PAIR_TILE, n), d))
+    cov = np.zeros((d, d))
+    for i0 in range(0, n, _PAIR_TILE):
+        rows = x[i0 : i0 + _PAIR_TILE]
+        xc = np.subtract(rows, mu, out=block[: len(rows)])
+        # numpy forms xc^T xc by BLAS syrk, one triangle mirrored: exactly
+        # symmetric, and so is the sum of such products
+        cov += xc.T @ xc
+    cov /= n - 1
+    return DiscretizedKernel(sample.grid, _readonly(cov))
 
 
 def bootstrap_mean_band(

@@ -1,11 +1,14 @@
 import csv
 import json
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import kfpca.cli
+import kfpca.model
 from kfpca import SimulationScenario, generate, load_model
 from kfpca.cli import _read_dataset, main, read_dataset
 from kfpca.errors import ParseError
@@ -248,6 +251,33 @@ class TestCmdFit:
             ["fit", str(activity_like_csv), "--ncomp", "100", "--out", str(tmp_path / "m.json")]
         )
         assert code == 2
+
+    def test_raw_curves_are_freed_once_smoothed(self, tmp_path, activity_like_csv, monkeypatch):
+        read = kfpca.cli.read_dataset
+        kendall = kfpca.model.kendall_tau_hat
+        raw = []
+
+        def reading(path):
+            sample = read(path)
+            raw.extend((weakref.ref(sample), weakref.ref(sample.values)))
+            return sample
+
+        def estimating(sample, *args):
+            assert all(ref() is None for ref in raw)
+            return kendall(sample, *args)
+
+        monkeypatch.setattr(kfpca.cli, "read_dataset", reading)
+        monkeypatch.setattr(kfpca.model, "kendall_tau_hat", estimating)
+        argv = ["fit", str(activity_like_csv), "--presmooth", "--out", str(tmp_path / "m.json")]
+        assert main(argv) == 0
+        assert len(raw) == 2
+
+    def test_options_are_checked_before_the_file_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        code = main(["fit", str(missing), "--ncomp", "many", "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--ncomp" in err and "missing.csv" not in err
 
     def test_cov_method_and_int_ncomp(self, tmp_path, activity_like_csv):
         out = tmp_path / "model.json"

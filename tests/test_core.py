@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
+import kfpca.core
 from kfpca.core import (
     _frozen_array,
     _local_linear_matrix,
@@ -248,6 +249,41 @@ class TestSmoothCurve:
         rows = 1e200 * derive_rng(3, 0).standard_normal((2, 21))
         with pytest.raises(EstimationError):
             smooth_rows(g, rows)
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 15, 40])
+    def test_row_blocks_match_one_block(self, monkeypatch, n):
+        # blocks of 7 rows put rows on, beside and across block edges; up
+        # to 7 rows are one block, bit for bit the unblocked smooth, and
+        # more may round differently in BLAS (a one-row block is a
+        # matrix-vector product): two summation orders of a d-term dot
+        # product differ by at most about d ulps of its terms
+        g = make_regular_grid(0, 10, 51)
+        rows = noisy_rows(g, 100 + n)[:n]
+        whole = smooth_rows(g, rows, "auto")
+        monkeypatch.setattr(kfpca.core, "_PAIR_TILE", 7)
+        blocked = smooth_rows(g, rows, "auto")
+        if n <= 7:
+            assert np.array_equal(blocked, whole)
+        else:
+            gap = np.abs(blocked - whole).max()
+            assert gap <= g.size * np.finfo(float).eps * np.abs(rows).max()
+        assert np.array_equal(gcv_fit(local_linear_matrix, g, rows)[0], whole)
+
+    def test_gcv_holds_one_row_block_beside_its_result(self):
+        g = make_regular_grid(0, 10, 51)
+        values = noisy_rows(g, 8)
+        values = np.vstack([values] * 25)  # 1000 x 51
+        tracemalloc.start()
+        try:
+            out = smooth_rows(g, values, "auto")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the result, the fits and residuals of one block, the three d x d
+        # smoother arrays, and 64 KiB for the best scores and small
+        # temporaries: a second or third N x d array (408 KB) does not fit
+        block = kfpca.core._PAIR_TILE * g.size * 8
+        assert peak <= out.nbytes + 2 * block + 3 * g.size**2 * 8 + 2**16
 
     # True used to smooth with bandwidth 1.0
     @pytest.mark.parametrize(

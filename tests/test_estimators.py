@@ -396,6 +396,36 @@ class TestCovarianceHat:
             covariance_hat(sample).matrix - covariance_hat(shuffled).matrix
         ).max() < 1e-10
 
+    @pytest.mark.parametrize("n", [6, 7, 8, 15, 40])
+    def test_row_blocks_match_one_product(self, monkeypatch, n):
+        # blocks of 7 rows: up to 7 curves are one block, bit for bit the
+        # one product; more are summed block by block, which moves the
+        # matrix by rounding only
+        sample = gaussian_case1_sample(n, seed=25)
+        xc = sample.values - sample.values.mean(axis=0)
+        reference = xc.T @ xc / (n - 1)
+        assert np.array_equal(covariance_hat(sample).matrix, reference)
+        monkeypatch.setattr(kfpca.estimators, "_PAIR_TILE", 7)
+        blocked = covariance_hat(sample).matrix
+        if n <= 7:
+            assert np.array_equal(blocked, reference)
+        else:
+            assert np.linalg.norm(blocked - reference) <= 1e-15 * np.linalg.norm(reference)
+        assert np.array_equal(blocked, blocked.T)
+
+    def test_no_centered_copy(self):
+        sample = gaussian_case1_sample(2000, seed=26)
+        tracemalloc.start()
+        try:
+            covariance_hat(sample)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one block of centered rows and the kernel's few d x d arrays; an
+        # N x d centered copy (1.6 MB here) does not fit
+        d = sample.grid.size
+        assert peak < (kfpca.estimators._PAIR_TILE * d + 6 * d * d) * 8
+
     def test_large_sample_eigenvalues_near_truth(self):
         sample = gaussian_case1_sample(400, seed=24)
         lam = covariance_hat(sample).eigenvalues[:2]

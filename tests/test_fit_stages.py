@@ -38,7 +38,12 @@ def test_every_stage_is_timed_and_the_library_is_left_as_it_was(tmp_path, capsys
 def test_peaks_are_read_per_stage_and_count_toward_the_outer_stage(capsys):
     recorder = fit_stages.StagePeak()
     inner = recorder.wrap("inner", lambda: np.ones(2**17).sum())  # a 1 MiB array
-    outer = recorder.wrap("outer", lambda: np.ones(2**15).sum() + inner())
+
+    def outer():
+        held = np.ones(2**15)  # a 256 KiB array alive as inner starts
+        return held.sum() + inner()
+
+    outer = recorder.wrap("outer", outer)
     tracemalloc.start()
     try:
         outer()
@@ -46,11 +51,16 @@ def test_peaks_are_read_per_stage_and_count_toward_the_outer_stage(capsys):
     finally:
         tracemalloc.stop()
     assert 2**20 <= recorder.bytes["inner"] <= recorder.bytes["outer"] <= recorder.total
-    assert recorder.bytes["outer"] < 2**20 + 2**18
+    assert recorder.bytes["outer"] < 2**20 + 2**19
+    assert recorder.entry["outer"] < 2**14
+    assert 2**18 <= recorder.entry["inner"] < 2**18 + 2**14
 
     assert fit_stages.main(["--n", "12", "--d", "9", "--ncomp", "2", "--repeats", "1", "--peak"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    start = lines.index("tracemalloc peak KiB of one untimed run")
-    peaks = {line.split()[0]: float(line.split()[1]) for line in lines[start + 1 :]}
-    assert list(peaks) == [*fit_stages.STAGES, "total"]
-    assert all(0 < kib <= peaks["total"] for kib in peaks.values())
+    start = lines.index("tracemalloc KiB of one untimed run: at entry, peak")
+    rows = {line.split()[0]: [float(x) for x in line.split()[1:]] for line in lines[start + 1 :]}
+    assert list(rows) == [*fit_stages.STAGES, "total"]
+    total = rows["total"][1]
+    # every stage but the first starts with something alive, and peaks above it
+    assert all(0 < entry < kib <= total for entry, kib in list(rows.values())[1:-1])
+    assert 0 <= rows["read"][0] < rows["read"][1] <= total

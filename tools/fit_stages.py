@@ -27,11 +27,13 @@ through by a wrapper that adds its CPU time to the stage, and the originals
 are put back afterwards.  Set ``OPENBLAS_NUM_THREADS=1`` (or your BLAS's
 variable) for one BLAS thread, as the benchmark runs.
 
-With ``--peak``, one more run, untimed and under ``tracemalloc``, prints the
-peak of traced memory in KiB while each stage ran (everything the command
-had allocated by then counts), and the peak of the whole command.  The peak
-is reset as a stage starts and read as it ends; a stage called inside
-another counts toward the outer one's peak too.
+With ``--peak``, one more run, untimed and under ``tracemalloc``, prints for
+each stage the traced memory in KiB as it started (what the command held
+alive on entering it) and the peak while it ran (everything the command had
+allocated by then counts), and the peak of the whole command.  The peak is
+reset as a stage starts and read as it ends; a stage called inside another
+counts toward the outer one's peak too.  A stage entered more than once
+shows its largest entry and its largest peak.
 """
 
 import argparse
@@ -88,9 +90,11 @@ class StageClock:
 
 
 class StagePeak:
-    """tracemalloc peak per stage, in bytes, and of the whole run."""
+    """tracemalloc memory at entry and peak per stage, in bytes, and the
+    peak of the whole run."""
 
     def __init__(self):
+        self.entry = defaultdict(int)
         self.bytes = defaultdict(int)
         self.total = 0
         self._open = []  # running peaks of the stages entered, innermost last
@@ -107,6 +111,7 @@ class StagePeak:
     def wrap(self, stage, fn):
         def traced(*args, **kwargs):
             self.read()
+            self.entry[stage] = max(self.entry[stage], tracemalloc.get_traced_memory()[0])
             self._open.append(0)
             try:
                 return fn(*args, **kwargs)
@@ -156,8 +161,9 @@ def _run_fit(argv, recorder) -> int:
 def stage_profile(n: int, d: int, ncomp="3", repeats=1, peak=False) -> tuple[dict, dict]:
     """Median CPU ms of each stage, ``other`` and ``total`` over ``repeats``
     runs of ``kfpca fit --presmooth --eigen-smooth`` on an N x d dataset,
-    and, when ``peak`` is set, the KiB peak of each stage and ``total`` in
-    one more run under tracemalloc (else an empty dict)."""
+    and, when ``peak`` is set, the KiB (entry, peak) of each stage and the
+    peak of the ``total`` in one more run under tracemalloc (else an empty
+    dict)."""
     runs, peaks = [], {}
     with tempfile.TemporaryDirectory() as tmp:
         data, out = Path(tmp) / "data.csv", Path(tmp) / "model.json"
@@ -179,8 +185,11 @@ def stage_profile(n: int, d: int, ncomp="3", repeats=1, peak=False) -> tuple[dic
                 recorder.read()
             finally:
                 tracemalloc.stop()
-            peaks = {stage: recorder.bytes[stage] / 1024 for stage in STAGES}
-            peaks["total"] = recorder.total / 1024
+            peaks = {
+                stage: (recorder.entry[stage] / 1024, recorder.bytes[stage] / 1024)
+                for stage in STAGES
+            }
+            peaks["total"] = (0.0, recorder.total / 1024)
     times = {key: float(np.median([r[key] for r in runs])) for key in runs[0]}
     return times, peaks
 
@@ -192,7 +201,8 @@ def main(argv=None) -> int:
     parser.add_argument("--ncomp", default="3", help="kfpca fit --ncomp")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--peak", action="store_true",
-                        help="also print each stage's tracemalloc peak, from one untimed run")
+                        help="also print each stage's tracemalloc entry and peak, "
+                             "from one untimed run")
     args = parser.parse_args(argv)
     times, peaks = stage_profile(args.n, args.d, args.ncomp, args.repeats, args.peak)
     print(f"kfpca fit --presmooth --eigen-smooth --ncomp {args.ncomp}, N={args.n}, "
@@ -200,9 +210,9 @@ def main(argv=None) -> int:
     for stage, ms in times.items():
         print(f"{stage:>13} {ms:10.1f} {100 * ms / times['total']:6.1f}%")
     if peaks:
-        print("tracemalloc peak KiB of one untimed run")
-        for stage, kib in peaks.items():
-            print(f"{stage:>13} {kib:10.1f}")
+        print("tracemalloc KiB of one untimed run: at entry, peak")
+        for stage, (entry, kib) in peaks.items():
+            print(f"{stage:>13} {entry:10.1f} {kib:10.1f}")
     return 0
 
 
