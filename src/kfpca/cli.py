@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .core import FunctionalSample, Grid
+from .core import FunctionalSample, Grid, _readonly
 from .errors import ConfigurationError, EstimationError, KfpcaError, ParseError
 from .estimators import bootstrap_mean_band
 from .metrics import METRIC_NAMES, aggregate, convergence_rate, run_scenario
@@ -88,7 +88,8 @@ def _load_rows(fh, d, start) -> np.ndarray | None:
     """The rest of ``fh`` as an N x d array by numpy's C text reader, or
     None if that reader refuses it or finds no rows.  The id column is
     converted to zeros rather than left out with ``usecols``, which would
-    also drop a cell past the last grid time."""
+    also drop a cell past the last grid time.  Without an id column the
+    reader's array is handed over; with one, the sample copies the slice."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # "input contained no data"
@@ -98,7 +99,9 @@ def _load_rows(fh, d, start) -> np.ndarray | None:
             )
     except (ValueError, UserWarning):
         return None
-    return values[:, start:] if values.shape[1] == d + start else None
+    if values.shape[1] != d + start:
+        return None
+    return values[:, start:] if start else _readonly(values)
 
 
 def _parse_rows(path, rows, d, start) -> np.ndarray:
@@ -131,21 +134,20 @@ def _write_csv(path, header, rows):
 
 def _parse_ncomp(text: str):
     try:
-        if any(c in text for c in ".eE"):
-            value = float(text)
-        else:
-            value = int(text)
+        return float(text) if any(c in text for c in ".eE") else int(text)
     except ValueError:
         raise ConfigurationError(f"--ncomp must be a count or a fraction, got {text!r}")
-    return value
 
 
-def _parse_bandwidth(text: str):
-    """A number as a float; other text as it is, for FitConfig to check."""
+def _smoother(flag: bool, bandwidth: str | None):
+    """A smoother's setting: its bandwidth option if given, a number as a
+    float and other text as it is, for FitConfig to check; else its flag."""
+    if bandwidth is None:
+        return flag
     try:
-        return float(text)
+        return float(bandwidth)
     except ValueError:
-        return text
+        return bandwidth
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
@@ -170,10 +172,8 @@ def cmd_fit(args) -> int:
     config = FitConfig(
         method=args.method,
         n_components=_parse_ncomp(args.ncomp),
-        presmooth=args.presmooth,
-        presmooth_bandwidth=_parse_bandwidth(args.presmooth_bandwidth),
-        eigen_smooth=args.eigen_smooth,
-        eigen_bandwidth=_parse_bandwidth(args.eigen_bandwidth),
+        presmooth=_smoother(args.presmooth, args.presmooth_bandwidth),
+        eigen_smooth=_smoother(args.eigen_smooth, args.eigen_bandwidth),
     )
     model = fit(read_dataset(args.input), config)
     save_model(model, args.out)
@@ -270,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="component count, or a fraction in (0,1) for FVE selection",
     )
     p_fit.add_argument("--presmooth", action="store_true")
-    p_fit.add_argument("--presmooth-bandwidth", default="auto")
+    p_fit.add_argument("--presmooth-bandwidth", metavar="H", help="presmooth at H (or 'auto')")
     p_fit.add_argument("--eigen-smooth", action="store_true")
-    p_fit.add_argument("--eigen-bandwidth", default="auto")
+    p_fit.add_argument("--eigen-bandwidth", metavar="H", help="eigen-smooth at H (or 'auto')")
     p_fit.add_argument("--out", required=True, help="model JSON output path")
     p_fit.set_defaults(handler=cmd_fit)
 

@@ -9,8 +9,8 @@ record of a fit, which the CLI saves and a Monte Carlo run scores.  A model
 stores each fact once: its eigenfunctions as one K x d array on its mean's
 grid, its method as its config's, and its per-component score variances as
 computed from its scores; ``grid`` and the eigenfunction ``Curve`` objects
-are derived on access.  It serializes to a single JSON document (schema 2;
-schema-1 documents load).
+are derived on access.  It serializes to a single JSON document (schema 3;
+schema-1 and schema-2 documents load).
 """
 
 import json
@@ -29,7 +29,6 @@ from .core import (
     _check_bandwidth,
     _check_count,
     _check_index,
-    _check_non_negative,
     _frozen_array,
     _readonly,
     smooth_rows,
@@ -42,11 +41,11 @@ KFPCA = "kfpca"
 COV = "cov"
 METHODS = (KFPCA, COV)
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 # schema 1 also stored "method", "component_variances" and "config.seed",
 # which a model derives or no longer has; a schema-1 document loads with
 # those keys unread
-_READABLE_VERSIONS = ("1", SCHEMA_VERSION)
+_READABLE_VERSIONS = ("1", "2", SCHEMA_VERSION)
 
 
 @dataclass(frozen=True)
@@ -55,18 +54,16 @@ class FitConfig:
 
     ``n_components`` is either an integer count or a real in (0, 1) read
     as a fraction-of-variance-explained threshold on the decomposed
-    spectrum, stored as a Python int or float.  The two flags are bools (a
-    numpy bool is stored as one), and each bandwidth is "auto" or a positive
-    number.  A fit is deterministic given its sample and config.
+    spectrum, stored as a Python int or float.  Each smoother is None
+    (off), "auto" (a GCV bandwidth per curve) or a positive bandwidth stored
+    as a float; True reads as "auto" and False as None, numpy's bools too.
+    A fit is deterministic given its sample and config.
     """
 
     method: str = KFPCA
     n_components: int | float = 0.95
-    presmooth: bool = False
-    presmooth_bandwidth: float | str = "auto"
-    eigen_smooth: bool = False
-    eigen_bandwidth: float | str = "auto"
-    degenerate_tol: float = 1e-12
+    presmooth: float | str | None = None
+    eigen_smooth: float | str | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -83,17 +80,15 @@ class FitConfig:
             raise ConfigurationError(
                 "n_components must be a count >= 1 or a threshold in (0, 1)"
             )
-        _check_non_negative("degenerate_tol", self.degenerate_tol)
-        for name in ("presmooth", "eigen_smooth"):
-            flag = getattr(self, name)
-            if not isinstance(flag, (bool, np.bool_)):
-                raise ConfigurationError(f"{name} must be a bool, got {flag!r}")
-            object.__setattr__(self, name, bool(flag))
-        for name in ("presmooth_bandwidth", "eigen_bandwidth"):
-            object.__setattr__(self, name, _check_bandwidth(name, getattr(self, name)))
         # numpy scalars pass the checks but not json.dumps in save_model
         object.__setattr__(self, "n_components", n)
-        object.__setattr__(self, "degenerate_tol", float(self.degenerate_tol))
+        for name in ("presmooth", "eigen_smooth"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):
+                value = "auto" if value else None
+            elif value is not None:
+                value = _check_bandwidth(name, value)
+            object.__setattr__(self, name, value)
 
 
 def _all_finite(values: np.ndarray) -> bool:
@@ -178,12 +173,9 @@ class FpcaModel:
 
     def fraction_variance_explained(self) -> float:
         """Share of the decomposed spectrum carried by the kept components."""
-        total = float(self.operator_eigenvalues.sum()) + float(
-            self._spectrum_remainder
-        )
-        if total == 0:
-            return 1.0
-        return float(self.operator_eigenvalues.sum()) / total
+        kept = float(self.operator_eigenvalues.sum())
+        total = kept + float(self._spectrum_remainder)
+        return kept / total if total else 1.0
 
 
 def _select_k(eigenvalues: np.ndarray, n_components: int | float) -> int:
@@ -222,19 +214,15 @@ def fit(sample: FunctionalSample, config: FitConfig) -> FpcaModel:
     if sample.grid.size < 4:
         raise InputError("fit needs at least 4 grid points")
 
-    if config.presmooth:
-        smoothed = smooth_rows(sample.grid, sample.values, config.presmooth_bandwidth)
+    if config.presmooth is not None:
+        smoothed = smooth_rows(sample.grid, sample.values, config.presmooth)
         sample = FunctionalSample(sample.grid, _readonly(smoothed))
 
     mean = mean_hat(sample)
-    if config.method == KFPCA:
-        kernel = kendall_tau_hat(sample, config.degenerate_tol)
-    else:
-        kernel = covariance_hat(sample)
+    kernel = (kendall_tau_hat if config.method == KFPCA else covariance_hat)(sample)
 
     k = _select_k(kernel.eigenvalues, config.n_components)
-    bandwidth = config.eigen_bandwidth if config.eigen_smooth else None
-    phi = eigen_decompose(kernel, k, bandwidth)
+    phi = eigen_decompose(kernel, k, config.eigen_smooth)
     scores = _readonly(project_scores(sample, mean, phi))
     ev = kernel.eigenvalues
     return FpcaModel(mean, _readonly(phi), ev[:k], scores, config, float(ev[k:].sum()))
@@ -254,9 +242,21 @@ def reconstruct(model: FpcaModel, subject: int, n_components: int) -> Curve:
     return Curve(model.grid, values)
 
 
-def _config_from_doc(doc: dict) -> FitConfig:
-    """The saved config, each field checked as it was read, not coerced."""
-    return FitConfig(**{f.name: doc[f.name] for f in fields(FitConfig)})
+def _config_from_doc(doc: dict, version: str) -> FitConfig:
+    """The saved config, each field checked as it was read, not coerced.
+    Schemas 1 and 2 saved each smoother as a bool flag beside its bandwidth,
+    read only if the flag is set, and the degenerate_tol of the kernel,
+    which must be the 1e-12 that every fit now uses."""
+    if version == SCHEMA_VERSION:
+        return FitConfig(**{f.name: doc[f.name] for f in fields(FitConfig)})
+    if doc["degenerate_tol"] != 1e-12:
+        raise ConfigurationError(f"degenerate_tol must be 1e-12, got {doc['degenerate_tol']!r}")
+    smoothers = {}
+    for name, key in (("presmooth", "presmooth_bandwidth"), ("eigen_smooth", "eigen_bandwidth")):
+        if not isinstance(doc[name], bool):
+            raise ConfigurationError(f"{name} must be a bool, got {doc[name]!r}")
+        smoothers[name] = _check_bandwidth(key, doc[key]) if doc[name] else None
+    return FitConfig(doc["method"], doc["n_components"], **smoothers)
 
 
 def serialize_model(model: FpcaModel) -> dict:
@@ -317,7 +317,7 @@ def deserialize_model(doc: dict) -> FpcaModel:
     )
     eigenvalues = array("eigenvalues_operator")
     scores = array("scores")
-    config = _parse("config", lambda: _config_from_doc(doc["config"]))
+    config = _parse("config", lambda: _config_from_doc(doc["config"], version))
     remainder = _parse(
         "spectrum_remainder", lambda: float(doc.get("spectrum_remainder", 0.0))
     )

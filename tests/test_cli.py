@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import kfpca.cli
 import kfpca.model
-from kfpca import SimulationScenario, generate, load_model
+from kfpca import FitConfig, SimulationScenario, fit, generate, load_model, serialize_model
 from kfpca.cli import _read_dataset, main, read_dataset
 from kfpca.errors import ParseError
 
@@ -54,6 +55,20 @@ class TestReadDataset:
         parsed = read_dataset(path)
         assert np.allclose(parsed.values, sample.values)
         assert np.allclose(parsed.grid.points, sample.grid.points)
+
+    def test_a_file_without_ids_is_read_into_one_matrix(self, tmp_path):
+        # numpy's array is kept, not copied: with an id column the sample
+        # copies the slice, and the read peaked at about 2.2x the matrix
+        scenario = SimulationScenario(n_subjects=2000, n_points=51, seed=3)
+        path = tmp_path / "data.csv"
+        write_dataset(path, generate(scenario, 0).sample)
+        tracemalloc.start()
+        try:
+            sample = read_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * sample.values.nbytes
 
     def test_empty_file_names_the_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -279,6 +294,23 @@ class TestCmdFit:
         err = capsys.readouterr().err
         assert "--ncomp" in err and "missing.csv" not in err
 
+    @pytest.mark.parametrize(
+        "option, field",
+        [("--presmooth-bandwidth", "presmooth"), ("--eigen-bandwidth", "eigen_smooth")],
+    )
+    def test_a_bandwidth_turns_its_smoother_on(self, tmp_path, activity_like_csv, option, field):
+        # the bandwidth used to be dropped unless its flag was given too
+        out = tmp_path / "model.json"
+        assert main(["fit", str(activity_like_csv), "--ncomp", "2", option, "0.5",
+                     "--out", str(out)]) == 0
+        sample = read_dataset(activity_like_csv)
+        config = FitConfig(n_components=2, **{field: 0.5})
+        smoothed = fit(sample, config)
+        back = load_model(out)
+        assert back.config == config
+        assert serialize_model(back) == serialize_model(smoothed)
+        assert not np.array_equal(smoothed.scores, fit(sample, FitConfig(n_components=2)).scores)
+
     def test_cov_method_and_int_ncomp(self, tmp_path, activity_like_csv):
         out = tmp_path / "model.json"
         code = main(
@@ -468,12 +500,12 @@ class TestMainPlumbing:
              "No such file"),
             (["fit", "{latin1}", "--out", "{out}"], 2, "UTF-8"),
             (["fit", "{data}", "--presmooth", "--presmooth-bandwidth", "-1", "--out", "{out}"],
-             2, "bandwidth must be positive"),
+             2, "presmooth must be positive"),
             # without --presmooth a negative bandwidth used to be accepted
             (["fit", "{data}", "--presmooth-bandwidth", "-1", "--out", "{out}"], 2,
-             "presmooth_bandwidth must be positive"),
+             "presmooth must be positive"),
             (["fit", "{data}", "--eigen-bandwidth", "bogus", "--out", "{out}"], 2,
-             "eigen_bandwidth must be positive or 'auto', got 'bogus'"),
+             "eigen_smooth must be positive or 'auto', got 'bogus'"),
             (["fit", "{identical}", "--method", "kfpca", "--out", "{out}"], 3,
              "all curve pairs are degenerate"),
             (["KFPCA_THREADS=junk", "simulate", "--n", "20", "--grid", "11", "--runs", "1",
@@ -524,5 +556,5 @@ class TestMainPlumbing:
         out = tmp_path / "model.json"
         main(["fit", str(activity_like_csv), "--out", str(out)])
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "2"
+        assert doc["schema_version"] == "3"
         assert len(doc["grid"]["points"]) == 36

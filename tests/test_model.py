@@ -219,13 +219,6 @@ class TestFit:
         with pytest.raises(ConfigurationError):
             FitConfig(n_components=bad)
 
-    def test_numpy_degenerate_tol_stored_as_float(self, tmp_path):
-        config = FitConfig(n_components=2, degenerate_tol=np.float32(0.0))
-        assert type(config.degenerate_tol) is float
-        path = tmp_path / "m.json"
-        save_model(fit(noisy_sample(n=20, seed=16), config), path)
-        assert load_model(path).config.degenerate_tol == 0.0
-
     def test_numpy_n_components_stored_as_python_number(self, tmp_path):
         sample = noisy_sample(n=20, seed=16)
         model = fit(sample, FitConfig(n_components=np.int64(2)))
@@ -239,42 +232,64 @@ class TestFit:
             assert type(stored) is float and stored == float(threshold)
 
     @pytest.mark.parametrize("field", ["presmooth", "eigen_smooth"])
+    @pytest.mark.parametrize(
+        "bad", [-1, -1.0, 0, 0.0, "bogus", "1.0", "", float("nan"), np.array([True])]
+    )
+    def test_smoother_setting_is_off_auto_or_a_positive_bandwidth(self, field, bad):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be positive or 'auto'"):
+            FitConfig(**{field: bad})
+
+    def test_bool_settings_stored_as_auto_or_none(self):
+        # a stored bool would make True == 1.0 equate a GCV fit with a
+        # fixed-bandwidth one
+        for true, false in [(True, False), (np.bool_(True), np.False_)]:
+            config = FitConfig(presmooth=true, eigen_smooth=false)
+            assert config.presmooth == "auto" and config.eigen_smooth is None
+        assert FitConfig(presmooth=True) != FitConfig(presmooth=1.0)
+        assert FitConfig(presmooth=True) == FitConfig(presmooth="auto")
+        assert FitConfig(eigen_smooth=False) == FitConfig()
+
+    def test_bandwidths_stored_as_float_or_auto(self):
+        config = FitConfig(presmooth=np.float32(0.5), eigen_smooth=2)
+        assert (config.presmooth, config.eigen_smooth) == (0.5, 2.0)
+        assert type(config.presmooth) is float is type(config.eigen_smooth)
+        assert FitConfig(presmooth="auto", eigen_smooth=None).presmooth == "auto"
+        assert FitConfig().presmooth is FitConfig().eigen_smooth is None
+
+    def test_invalid_method_config(self):
+        with pytest.raises(ConfigurationError):
+            FitConfig(method="pca")
+
+    # Schema-2 documents saved each smoother as a flag beside its bandwidth,
+    # and the kernel's degenerate_tol; load_model still checks all three.
+
+    @pytest.mark.parametrize("field", ["presmooth", "eigen_smooth"])
     @pytest.mark.parametrize("bad", ["no", "false", 1, 0, None, np.array([True])])
     def test_smoothing_flags_must_be_bools(self, field, bad):
         # "no" used to switch presmoothing on
-        with pytest.raises(ConfigurationError, match=field):
-            FitConfig(**{field: bad})
-
-    def test_numpy_bool_flags_stored_as_bool(self):
-        config = FitConfig(presmooth=np.bool_(True), eigen_smooth=np.False_)
-        assert config.presmooth is True and config.eigen_smooth is False
+        with pytest.raises(ParseError, match=f"config: {field} must be a bool") as err:
+            deserialize_model(schema_2_doc(**{field: bad}))
+        assert err.value.path == "config"
 
     @pytest.mark.parametrize("field", ["presmooth_bandwidth", "eigen_bandwidth"])
     @pytest.mark.parametrize(
         "bad", [-1, -1.0, 0.0, "bogus", "1.0", float("nan"), True, np.bool_(True), None]
     )
     def test_bandwidth_must_be_auto_or_positive(self, field, bad):
-        with pytest.raises(ConfigurationError, match="bandwidth must be positive"):
-            FitConfig(**{field: bad})
-
-    def test_bandwidths_stored_as_float_or_auto(self):
-        config = FitConfig(presmooth_bandwidth=np.float32(0.5), eigen_bandwidth=2)
-        assert (config.presmooth_bandwidth, config.eigen_bandwidth) == (0.5, 2.0)
-        assert type(config.presmooth_bandwidth) is float is type(config.eigen_bandwidth)
-        assert FitConfig().presmooth_bandwidth == FitConfig().eigen_bandwidth == "auto"
-
-    def test_invalid_method_config(self):
-        with pytest.raises(ConfigurationError):
-            FitConfig(method="pca")
+        # both flags of the document are set, so both bandwidths are read
+        with pytest.raises(ParseError, match=f"config: {field} must be positive") as err:
+            deserialize_model(schema_2_doc(**{field: bad}))
+        assert err.value.path == "config"
 
     @pytest.mark.parametrize(
-        "bad", [-1e-12, float("nan"), float("inf"), "1e-3", None, True]
+        "bad", [-1e-12, 0.0, float("nan"), float("inf"), "1e-3", None, True]
     )
     def test_invalid_degenerate_tol_config(self, bad):
         # NaN fails every comparison, so a bare `< 0` check lets it through;
-        # a string or None fails the comparison itself
-        with pytest.raises(ConfigurationError, match="degenerate_tol"):
-            FitConfig(degenerate_tol=bad)
+        # a fit now uses only the default, so any other value is refused
+        with pytest.raises(ParseError, match="config: degenerate_tol") as err:
+            deserialize_model(schema_2_doc(degenerate_tol=bad))
+        assert err.value.path == "config"
 
 
 @st.composite
@@ -358,6 +373,23 @@ class TestReconstruct:
 
 
 SCHEMA_1_DOC = os.path.join(os.path.dirname(__file__), "data", "model_schema1.json")
+# written by the schema-2 release: saved_sample() fitted with FitConfig(
+# n_components=2, presmooth=True, presmooth_bandwidth=0.4, eigen_smooth=True)
+SCHEMA_2_DOC = os.path.join(os.path.dirname(__file__), "data", "model_schema2.json")
+
+
+def saved_sample():
+    """The sample fitted for both saved documents."""
+    scenario = SimulationScenario(distribution="skew_t", n_subjects=10, n_points=8, runs=1, seed=13)
+    return generate(scenario, 0).sample
+
+
+def schema_2_doc(**config):
+    """The schema-2 document with the given config fields replaced."""
+    with open(SCHEMA_2_DOC, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["config"].update(config)
+    return doc
 
 
 def same(a, b) -> bool:
@@ -374,11 +406,15 @@ def same(a, b) -> bool:
     return a == b
 
 
+smoothers = st.none() | st.booleans() | st.just("auto") | st.floats(0.01, 50.0)
+
+
 @st.composite
 def irregular_fits(draw):
     """A sample on an irregular strictly increasing grid (N in [5, 30], d in
     [4, 20]) and a config: either method, K a count or an FVE threshold,
-    each smoother on or off."""
+    each smoother off (None or False), GCV (True or "auto") or a fixed
+    bandwidth."""
     n = draw(st.integers(5, 30))
     d = draw(st.integers(4, 20))
     gaps = draw(st.lists(st.floats(0.05, 2.0), min_size=d - 1, max_size=d - 1))
@@ -387,8 +423,8 @@ def irregular_fits(draw):
     config = FitConfig(
         method=draw(st.sampled_from(["kfpca", "cov"])),
         n_components=draw(st.integers(1, 3) | st.floats(0.5, 0.99)),
-        presmooth=draw(st.booleans()),
-        eigen_smooth=draw(st.booleans()),
+        presmooth=draw(smoothers),
+        eigen_smooth=draw(smoothers),
     )
     return FunctionalSample(Grid(points), values), config
 
@@ -401,18 +437,37 @@ class TestSerialization:
         back = deserialize_model(json.loads(json.dumps(serialize_model(model))))
         assert same(back, model)
 
-    def test_schema_2_document_keys(self):
+    def test_schema_3_document_keys(self):
         doc = serialize_model(fit(noisy_sample(seed=22), FitConfig(n_components=2)))
-        assert doc["schema_version"] == "2"
+        assert doc["schema_version"] == "3"
         assert set(doc) == {
             "schema_version", "grid", "mean", "eigenvalues_operator",
             "eigenfunctions", "scores", "spectrum_remainder", "config",
         }
         assert set(doc["grid"]) == {"points"}
-        assert set(doc["config"]) == {
-            "method", "n_components", "presmooth", "presmooth_bandwidth",
-            "eigen_smooth", "eigen_bandwidth", "degenerate_tol",
+        assert set(doc["config"]) == {"method", "n_components", "presmooth", "eigen_smooth"}
+
+    def test_schema_2_document_loads_to_the_same_model(self):
+        doc = schema_2_doc()
+        assert doc["schema_version"] == "2"
+        back = load_model(SCHEMA_2_DOC)
+        assert back.config == FitConfig(n_components=2, presmooth=0.4, eigen_smooth="auto")
+        assert back.config.presmooth == 0.4 and back.config.eigen_smooth == "auto"
+        saved = {
+            "mean": back.mean.values, "eigenfunctions": back.eigenfunction_values,
+            "eigenvalues_operator": back.operator_eigenvalues, "scores": back.scores,
         }
+        for key, values in saved.items():
+            assert values.tobytes() == np.array(doc[key], dtype=float).tobytes()
+        assert back._spectrum_remainder == doc["spectrum_remainder"]
+        assert same(back, fit(saved_sample(), back.config))
+
+    def test_schema_2_flags_off_read_as_no_smoothing(self):
+        # a bandwidth beside an unset flag was never used
+        doc = schema_2_doc(presmooth=False, presmooth_bandwidth=0.7,
+                           eigen_smooth=False, eigen_bandwidth=2.5)
+        config = deserialize_model(doc).config
+        assert config.presmooth is None and config.eigen_smooth is None
 
     def test_schema_1_document_loads_to_the_same_model(self):
         # written by the schema-1 release: this sample fitted with
@@ -421,11 +476,7 @@ class TestSerialization:
             doc = json.load(fh)
         assert doc["schema_version"] == "1" and doc["config"]["seed"] == 5
         back = load_model(SCHEMA_1_DOC)
-        scenario = SimulationScenario(
-            distribution="skew_t", n_subjects=10, n_points=8, runs=1, seed=13
-        )
-        sample = generate(scenario, 0).sample
-        assert same(back, fit(sample, FitConfig(method="kfpca", n_components=2)))
+        assert same(back, fit(saved_sample(), FitConfig(method="kfpca", n_components=2)))
         assert back.method == doc["method"]
         assert np.array_equal(back.component_variances, doc["component_variances"])
 
@@ -576,6 +627,16 @@ class TestSerialization:
     def test_saved_config_is_not_coerced(self, field, value):
         # a saved n_components of 2.5 used to read back as 2, and a saved
         # "false" flag as True
+        with pytest.raises(ParseError) as err:
+            deserialize_model(schema_2_doc(**{field: value}))
+        assert err.value.path == "config"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_components", 2.5), ("presmooth", "false"), ("presmooth", 0),
+         ("eigen_smooth", -1.0), ("eigen_smooth", "bogus")],
+    )
+    def test_saved_schema_3_config_is_not_coerced(self, field, value):
         doc = serialize_model(fit(noisy_sample(seed=22), FitConfig(n_components=2)))
         doc["config"][field] = value
         with pytest.raises(ParseError) as err:
@@ -587,8 +648,8 @@ class TestSerialization:
         [
             FitConfig(n_components=2),
             FitConfig(n_components=0.95),
-            FitConfig(n_components=2, presmooth=True, presmooth_bandwidth=0.4,
-                      eigen_smooth=True),
+            FitConfig(n_components=2, presmooth=0.4, eigen_smooth=True),
+            FitConfig(n_components=0.9, presmooth="auto", eigen_smooth=1.5),
         ],
     )
     def test_saved_config_round_trips(self, config):
