@@ -9,7 +9,6 @@ from .core import (
     inner_product,
     make_regular_grid,
 )
-from .eigen import eigen_decompose, project_scores
 from .errors import (
     ConfigurationError,
     DimensionError,
@@ -41,6 +40,7 @@ from .model import (
     deserialize_model,
     fit,
     load_model,
+    project_scores,
     reconstruct,
     save_model,
     serialize_model,
@@ -80,7 +80,6 @@ __all__ = [
     "derive_rng",
     "deserialize_model",
     "draw_scores",
-    "eigen_decompose",
     "evaluate_run",
     "fit",
     "generate",

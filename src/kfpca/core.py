@@ -251,10 +251,13 @@ def _local_linear_matrix(dt, bandwidth: float, k, s) -> float:
     """
     tiny = np.finfo(float).tiny
     floor = np.log(2.0**54 * len(dt) * tiny)
-    np.divide(dt, bandwidth, out=s)
-    np.multiply(s, s, out=s)
-    np.multiply(s, -0.5, out=s)
-    underflows = -0.5 * (dt[0, -1] / bandwidth) ** 2 < floor
+    # below about 1e-154 of the span a bandwidth overflows the squares to
+    # inf, a weight of exactly 0, as below the floor
+    with np.errstate(over="ignore"):
+        np.divide(dt, bandwidth, out=s)
+        np.multiply(s, s, out=s)
+        np.multiply(s, -0.5, out=s)
+        underflows = -0.5 * (dt[0, -1] / bandwidth) ** 2 < floor
     if underflows:
         k.fill(0.0)
     np.exp(s, out=k, where=s >= floor if underflows else True)
@@ -298,14 +301,24 @@ def smooth_rows(grid: Grid, values: np.ndarray, bandwidth="auto") -> np.ndarray:
     bandwidth = _check_bandwidth("bandwidth", bandwidth)
     dt = grid.points[None, :] - grid.points[:, None]
     k, s = np.empty_like(dt), np.empty_like(dt)
-    if bandwidth != "auto":
-        _local_linear_matrix(dt, bandwidth, k, s)
-        return values @ s.T
+    if bandwidth == "auto":
+        return _gcv_smooth(grid, values, dt, k, s)[0]
+    _local_linear_matrix(dt, bandwidth, k, s)
+    return values @ s.T
+
+
+def _gcv_smooth(grid: Grid, values: np.ndarray, dt, k, s) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``values`` smoothed at its GCV bandwidth, the candidate
+    with the least score d RSS / df^2 among those with df = d - tr(S) above
+    1e-8, and the n bandwidths chosen; ``dt``, ``k`` and ``s`` are as for
+    ``_local_linear_matrix``, which leaves ``s`` at the last candidate.
+    Raises EstimationError if no candidate gives a row a finite score."""
     n, d = len(values), grid.size
     out = np.empty_like(values)
     fitted = np.empty((min(_PAIR_TILE, n), d))
     resid = np.empty_like(fitted)
     best = np.full(n, np.inf)
+    chosen = np.empty(n)
     for cand in gcv_bandwidth_candidates(grid):
         df = d - _local_linear_matrix(dt, cand, k, s)
         if df < 1e-8:
@@ -318,7 +331,8 @@ def smooth_rows(grid: Grid, values: np.ndarray, bandwidth="auto") -> np.ndarray:
             best_rows = best[i0 : i0 + len(rows)]
             better = score < best_rows
             best_rows[better] = score[better]
+            chosen[i0 : i0 + len(rows)][better] = cand
             np.copyto(out[i0 : i0 + len(rows)], fit, where=better[:, None])
     if not np.all(np.isfinite(best)):
         raise EstimationError("no GCV bandwidth gives a finite score")
-    return out
+    return out, chosen

@@ -3,7 +3,8 @@
 Two kernel-function estimators are provided: the pairwise rank-flavoured
 estimator built from spatial signs of curve differences (robust to heavy
 tails and skewness), and the plain sample covariance baseline.  Both return
-a symmetric positive semidefinite matrix on the sample's grid.
+a symmetric positive semidefinite matrix on the sample's grid, as does
+``smooth_kernel``, which smooths such a kernel surface on both axes.
 """
 
 import numbers
@@ -17,9 +18,11 @@ from .core import (
     Curve,
     FunctionalSample,
     Grid,
+    _check_bandwidth,
     _check_count,
-    _check_non_negative,
     _frozen_array,
+    _gcv_smooth,
+    _local_linear_matrix,
     _readonly,
     derive_rng,
 )
@@ -28,6 +31,10 @@ from .errors import ConfigurationError, EstimationError, InputError
 SYMMETRY_RTOL = 1e-10
 PSD_RTOL = 1e-8
 TRACE_ATOL = 1e-8
+# a curve pair whose squared norm is at most this share of the mean pairwise
+# squared norm counts as degenerate
+DEGENERATE_TOL = 1e-12
+SIGN_TIE_ATOL = 1e-8
 
 # purpose tag for bootstrap replicate streams (see core.derive_rng)
 _BOOTSTRAP_STREAM = 11
@@ -46,7 +53,8 @@ class DiscretizedKernel:
     the PSD check reads them.  No eigenvector is formed then:
     ``eigenfunctions(k)`` computes the k leading unit eigenvectors v of T's
     problem and maps only those back, through the stored reflections, to
-    phi = W^{-1/2} v, orthonormal in the quadrature inner product.
+    phi = W^{-1/2} v, orthonormal in the quadrature inner product, with
+    signs fixed so each integrates to a non-negative value.
     """
 
     grid: Grid
@@ -104,7 +112,9 @@ class DiscretizedKernel:
         """The C-ordered k x d array whose row j is W^{-1/2} v_j, v_j the
         unit eigenvector of W^{1/2} M W^{1/2} paired with ``eigenvalues[j]``:
         the k leading eigenfunctions on the grid, orthonormal in the
-        quadrature inner product, with signs as LAPACK leaves them.
+        quadrature inner product.  Each row's sign makes its weighted
+        integral non-negative; a row integrating to about zero (within
+        ``SIGN_TIE_ATOL``) has its first nonzero value positive.
 
         The k leading eigenvectors of the tridiagonal T come from inverse
         iteration (dstein) on the k leading stored eigenvalues when
@@ -150,7 +160,16 @@ class DiscretizedKernel:
         _lapack_info("dormqr", info)
         out[:, 1:] = q_z.T
         out /= np.sqrt(self.grid.weights)
-        return out
+        return _apply_sign_convention(out, self.grid.weights)
+
+
+def _apply_sign_convention(phi: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Flip rows so each weighted integral is non-negative; a row whose
+    integral is essentially zero gets its first nonzero value positive."""
+    s = phi @ weights
+    first = phi[np.arange(phi.shape[0]), np.argmax(phi != 0, axis=1)]
+    flip = np.where(np.abs(s) > SIGN_TIE_ATOL, s < 0, first < 0)
+    return np.where(flip[:, None], -phi, phi)
 
 
 def _lapack_info(routine: str, info: int) -> None:
@@ -195,15 +214,13 @@ def _centered(sample: FunctionalSample) -> tuple[np.ndarray, np.ndarray, float]:
     return mu, q, 2.0 * float(q.sum()) / (n - 1)
 
 
-def kendall_tau_hat(
-    sample: FunctionalSample, degenerate_tol: float = 1e-12
-) -> DiscretizedKernel:
+def kendall_tau_hat(sample: FunctionalSample) -> DiscretizedKernel:
     """Pairwise spatial-sign kernel estimate.
 
     Each unordered pair of distinct curves contributes the outer product of
     its difference divided by the squared quadrature norm of that
     difference; the estimate averages those rank-one terms.  Pairs whose
-    squared norm falls at or below ``degenerate_tol`` times the mean
+    squared norm falls at or below ``DEGENERATE_TOL`` times the mean
     pairwise squared norm, or within the rounding of its Gram-identity
     computation (d + 2 ulps of the two centered curves' squared norms), are
     dropped and the divisor shrinks accordingly.
@@ -215,21 +232,16 @@ def kendall_tau_hat(
     ----------
     sample : FunctionalSample
         At least two curves on a shared grid.
-    degenerate_tol : float
-        Relative threshold below which a pair counts as degenerate.
 
     Raises
     ------
-    ConfigurationError
-        ``degenerate_tol`` not a number, negative, infinite or NaN.
     EstimationError
         Every pair degenerate (e.g. all curves identical), or the weighted
         trace off one by more than ``TRACE_ATOL``.
     """
-    _check_non_negative("degenerate_tol", degenerate_tol)
     mu, q, mean_sq_norm = _centered(sample)
     accum, ordered_retained = _pair_sum(
-        sample.values, mu, q, sample.grid.weights, degenerate_tol * mean_sq_norm
+        sample.values, mu, q, sample.grid.weights, DEGENERATE_TOL * mean_sq_norm
     )
     if ordered_retained == 0:
         raise EstimationError("all curve pairs are degenerate")
@@ -372,6 +384,32 @@ def covariance_hat(sample: FunctionalSample) -> DiscretizedKernel:
         cov += xc.T @ xc
     cov /= n - 1
     return DiscretizedKernel(sample.grid, _readonly(cov))
+
+
+def smooth_kernel(kernel: DiscretizedKernel, bandwidth) -> DiscretizedKernel:
+    """The kernel surface smoothed on both axes, S M S^T for the Gaussian
+    local-linear smoother S of ``core.smooth_rows``, as a new kernel: it is
+    PSD as M is, and its eigenfunctions are orthonormal as any kernel's are.
+
+    ``bandwidth`` is a positive float or "auto", which picks one bandwidth
+    by GCV on M's leading eigenfunction, as ``smooth_rows`` picks it for one
+    row; any other value is a ConfigurationError.  The surface is formed as
+    P = (S M / 2) S^T and returned as P + P^T, exactly symmetric; the grid
+    differences and the smoother's work space are freed before it.
+    """
+    bandwidth = _check_bandwidth("bandwidth", bandwidth)
+    grid = kernel.grid
+    dt = grid.points[None, :] - grid.points[:, None]
+    k, s = np.empty_like(dt), np.empty_like(dt)
+    if bandwidth == "auto":
+        bandwidth = _gcv_smooth(grid, kernel.eigenfunctions(1), dt, k, s)[1][0]
+    _local_linear_matrix(dt, bandwidth, k, s)
+    del dt, k
+    left = s @ kernel.matrix
+    left *= 0.5
+    half = left @ s.T
+    del left, s
+    return DiscretizedKernel(grid, _readonly(half + half.T))
 
 
 def bootstrap_mean_band(

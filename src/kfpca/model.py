@@ -2,10 +2,11 @@
 
 A fit runs each stage once, on arrays: optional pre-smoothing (a GCV
 bandwidth per curve), mean estimation, a kernel estimate (pairwise sign-based
-or sample covariance) with its one weighted eigensolve, the cut at K
-components, the K x d array of kept eigenfunctions (optionally smoothed),
-and score projection.  ``fit`` returns them as an ``FpcaModel``, the one
-record of a fit, which the CLI saves and a Monte Carlo run scores.  A model
+or sample covariance), optionally smoothed as a surface, with its one
+weighted eigensolve, the cut at K components, the K x d array of kept
+eigenfunctions, and score projection.  ``fit`` returns them as an
+``FpcaModel``, the one record of a fit, which the CLI saves and a Monte
+Carlo run scores.  A model
 stores each fact once: its eigenfunctions as one K x d array on its mean's
 grid, its method as its config's, and its per-component score variances as
 computed from its scores; ``grid`` and the eigenfunction ``Curve`` objects
@@ -23,19 +24,26 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .core import (
+    _PAIR_TILE,
     Curve,
     FunctionalSample,
     Grid,
     _check_bandwidth,
     _check_count,
     _check_index,
+    _float_array,
     _frozen_array,
     _readonly,
     smooth_rows,
 )
-from .eigen import eigen_decompose, project_scores
 from .errors import ConfigurationError, DimensionError, InputError, KfpcaError, ParseError
-from .estimators import covariance_hat, kendall_tau_hat, mean_hat
+from .estimators import (
+    DEGENERATE_TOL,
+    covariance_hat,
+    kendall_tau_hat,
+    mean_hat,
+    smooth_kernel,
+)
 
 KFPCA = "kfpca"
 COV = "cov"
@@ -55,7 +63,8 @@ class FitConfig:
     ``n_components`` is either an integer count or a real in (0, 1) read
     as a fraction-of-variance-explained threshold on the decomposed
     spectrum, stored as a Python int or float.  Each smoother is None
-    (off), "auto" (a GCV bandwidth per curve) or a positive bandwidth stored
+    (off), "auto" (GCV: a bandwidth per curve for ``presmooth``, one for
+    the kernel surface for ``eigen_smooth``) or a positive bandwidth stored
     as a float; True reads as "auto" and False as None, numpy's bools too.
     A fit is deterministic given its sample and config.
     """
@@ -193,6 +202,30 @@ def _select_k(eigenvalues: np.ndarray, n_components: int | float) -> int:
     return int(hits[0]) + 1
 
 
+def project_scores(sample: FunctionalSample, mean: Curve, phi: np.ndarray) -> np.ndarray:
+    """Component scores: quadrature inner products of centered curves with
+    each eigenfunction, given as the rows of the K x d array ``phi``.
+
+    Returns an N x K matrix with entry (i, k) equal to
+    <X_i - mean, phi_k>, computed ``_PAIR_TILE`` rows at a time, so that
+    beyond the result only one block of centered rows is held, never an
+    N x d copy.  InputError if ``phi`` is not a rectangular array of finite
+    numbers; DimensionError if its rows are not on the sample's grid.
+    """
+    phi = _float_array(phi)
+    if not sample.grid.matches(mean.grid) or phi.ndim != 2 or phi.shape[1] != sample.grid.size:
+        raise DimensionError("sample, mean and eigenfunction rows must share the grid")
+    if not np.isfinite(phi).all():
+        raise InputError("eigenfunction values must be finite")
+    x = sample.values
+    weighted = (phi * sample.grid.weights).T
+    scores = np.empty((len(x), len(phi)))
+    for i0 in range(0, len(x), _PAIR_TILE):
+        rows = x[i0 : i0 + _PAIR_TILE]
+        np.matmul(rows - mean.values, weighted, out=scores[i0 : i0 + len(rows)])
+    return scores
+
+
 def fit(sample: FunctionalSample, config: FitConfig) -> FpcaModel:
     """Fit a functional PCA model to a dense sample.
 
@@ -207,7 +240,8 @@ def fit(sample: FunctionalSample, config: FitConfig) -> FpcaModel:
     -------
     FpcaModel
         Mean, K x d eigenfunction array, operator eigenvalues and score
-        matrix, ordered by the decomposed spectrum.
+        matrix, ordered by the decomposed spectrum: the kernel's, or under
+        ``eigen_smooth`` the smoothed kernel's, which also sets K and the FVE.
     """
     if sample.n_subjects < 3:
         raise InputError("fit needs at least 3 curves")
@@ -220,9 +254,11 @@ def fit(sample: FunctionalSample, config: FitConfig) -> FpcaModel:
 
     mean = mean_hat(sample)
     kernel = (kendall_tau_hat if config.method == KFPCA else covariance_hat)(sample)
+    if config.eigen_smooth is not None:
+        kernel = smooth_kernel(kernel, config.eigen_smooth)
 
     k = _select_k(kernel.eigenvalues, config.n_components)
-    phi = eigen_decompose(kernel, k, config.eigen_smooth)
+    phi = kernel.eigenfunctions(k)
     scores = _readonly(project_scores(sample, mean, phi))
     ev = kernel.eigenvalues
     return FpcaModel(mean, _readonly(phi), ev[:k], scores, config, float(ev[k:].sum()))
@@ -243,14 +279,21 @@ def reconstruct(model: FpcaModel, subject: int, n_components: int) -> Curve:
 
 
 def _config_from_doc(doc: dict, version: str) -> FitConfig:
-    """The saved config, each field checked as it was read, not coerced.
+    """The saved config, each field checked as it was read, not coerced:
+    schema 3 saves a smoother as null, "auto" or a number, never a bool.
     Schemas 1 and 2 saved each smoother as a bool flag beside its bandwidth,
     read only if the flag is set, and the degenerate_tol of the kernel,
-    which must be the 1e-12 that every fit now uses."""
+    which must be the ``DEGENERATE_TOL`` that every fit now uses."""
     if version == SCHEMA_VERSION:
+        for name in ("presmooth", "eigen_smooth"):
+            if isinstance(doc[name], bool):
+                raise ConfigurationError(
+                    f"{name} must be null, 'auto' or positive, got {doc[name]!r}"
+                )
         return FitConfig(**{f.name: doc[f.name] for f in fields(FitConfig)})
-    if doc["degenerate_tol"] != 1e-12:
-        raise ConfigurationError(f"degenerate_tol must be 1e-12, got {doc['degenerate_tol']!r}")
+    if doc["degenerate_tol"] != DEGENERATE_TOL:
+        tol = doc["degenerate_tol"]
+        raise ConfigurationError(f"degenerate_tol must be {DEGENERATE_TOL}, got {tol!r}")
     smoothers = {}
     for name, key in (("presmooth", "presmooth_bandwidth"), ("eigen_smooth", "eigen_bandwidth")):
         if not isinstance(doc[name], bool):

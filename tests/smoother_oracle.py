@@ -11,9 +11,14 @@ references check it here:
   to rounding, and the factored form to be about as accurate.
 - ``longdouble_local_linear_matrix`` is the closed form in ``np.longdouble``
   (64-bit significand on x86-64), the accuracy oracle for both.
+
+``gcv_fit`` is the GCV rule written as a plain loop over the candidates,
+for any of these smoother builders.
 """
 
 import numpy as np
+
+from kfpca.core import gcv_bandwidth_candidates
 
 
 def numerator_local_linear_matrix(points, bandwidth):
@@ -58,3 +63,26 @@ def longdouble_local_linear_matrix(points, bandwidth):
     s2 = (k * dt * dt).sum(axis=1)
     denom = s0 * s2 - s1 * s1
     return k * (s2[:, None] - dt * s1[:, None]) / denom[:, None]
+
+
+def gcv_fit(matrix, grid, values):
+    """The GCV fit of each row as a loop over the candidates, with the
+    smoother matrices ``matrix(points, bandwidth)`` builds; returns the
+    fitted rows and each row's pick as an index into the candidates."""
+    d = grid.size
+    out = np.empty_like(values)
+    best = np.full(values.shape[0], np.inf)
+    pick = np.full(values.shape[0], -1)
+    for i, cand in enumerate(gcv_bandwidth_candidates(grid)):
+        s = matrix(grid.points, cand)
+        df = d - float(np.trace(s))
+        if df < 1e-8:
+            continue
+        fitted = values @ s.T
+        resid = values - fitted
+        score = d * np.einsum("ij,ij->i", resid, resid) / df**2
+        better = score < best
+        best[better] = score[better]
+        out[better] = fitted[better]
+        pick[better] = i
+    return out, pick

@@ -18,7 +18,6 @@ from kfpca import (
     derive_rng,
     deserialize_model,
     draw_scores,
-    eigen_decompose,
     fit,
     generate,
     imse,
@@ -95,8 +94,8 @@ class TestAcceptance:
         sample = generate(
             SimulationScenario(n_subjects=400, seed=acceptance_seed), 0
         ).sample
-        phi_k = eigen_decompose(kendall_tau_hat(sample), 2)
-        phi_c = eigen_decompose(covariance_hat(sample), 2)
+        phi_k = kendall_tau_hat(sample).eigenfunctions(2)
+        phi_c = covariance_hat(sample).eigenfunctions(2)
         errs = [
             imse(Curve(sample.grid, phi_k[k]), Curve(sample.grid, phi_c[k]))
             for k in range(2)
@@ -152,7 +151,7 @@ class TestAcceptance:
             if np.abs(other.matrix - kernel.matrix).max() > 1e-12:
                 failures.append(f"affine invariance broken at c={c}")
 
-        funcs = [Curve(sample.grid, row) for row in eigen_decompose(kernel, sample.grid.size)]
+        funcs = [Curve(sample.grid, row) for row in kernel.eigenfunctions(sample.grid.size)]
         for k in range(4):
             for l in range(k, 4):
                 got = inner_product(funcs[k], funcs[l])

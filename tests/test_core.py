@@ -31,7 +31,11 @@ from kfpca import (
     make_regular_grid,
     true_eigenfunctions,
 )
-from smoother_oracle import longdouble_local_linear_matrix, numerator_local_linear_matrix
+from smoother_oracle import (
+    gcv_fit,
+    longdouble_local_linear_matrix,
+    numerator_local_linear_matrix,
+)
 
 
 def fine_quadrature(fn, a=0.0, b=10.0, d=20001):
@@ -310,29 +314,6 @@ def unflushed_local_linear_matrix(points, bandwidth):
     a = np.where(bad, 1.0, s2) / denom
     b = np.where(bad, 0.0, s1) / denom
     return a[:, None] * k - b[:, None] * kdt
-
-
-def gcv_fit(matrix, grid, values):
-    """The GCV fit of each row as a loop over the candidates, with the
-    smoother matrices ``matrix(points, bandwidth)`` builds; returns the
-    fitted rows and each row's pick as an index into the candidates."""
-    d = grid.size
-    out = np.empty_like(values)
-    best = np.full(values.shape[0], np.inf)
-    pick = np.full(values.shape[0], -1)
-    for i, cand in enumerate(gcv_bandwidth_candidates(grid)):
-        s = matrix(grid.points, cand)
-        df = d - float(np.trace(s))
-        if df < 1e-8:
-            continue
-        fitted = values @ s.T
-        resid = values - fitted
-        score = d * np.einsum("ij,ij->i", resid, resid) / df**2
-        better = score < best
-        best[better] = score[better]
-        out[better] = fitted[better]
-        pick[better] = i
-    return out, pick
 
 
 def count_subnormal(s) -> int:

@@ -23,7 +23,6 @@ from kfpca import (
     covariance_hat,
     derive_rng,
     deserialize_model,
-    eigen_decompose,
     fit,
     generate,
     imse,
@@ -37,7 +36,6 @@ from kfpca import (
     serialize_model,
     true_eigenfunctions,
 )
-import kfpca.eigen
 import kfpca.estimators
 import kfpca.model
 from kfpca.model import atomic_write
@@ -160,13 +158,19 @@ class TestFit:
         counting(np.linalg, "eigvalsh")
         fit(noisy_sample(seed=15), FitConfig(method=method, n_components=0.95))
         assert calls == ["dsytrd"]
+        # eigen-smoothing reduces the estimate, as the PSD check needs, then
+        # the smoothed kernel it decomposes
+        calls.clear()
+        fit(noisy_sample(seed=15), FitConfig(method=method, eigen_smooth="auto"))
+        assert calls == ["dsytrd", "dsytrd"]
 
     @pytest.mark.parametrize(
         "module, options, rows",
-        [(kfpca.model, {"presmooth": True}, 20), (kfpca.eigen, {"eigen_smooth": True}, 2)],
+        [(kfpca.model, {"presmooth": True}, 20), (kfpca.model, {"eigen_smooth": True}, 0)],
     )
     def test_smoothing_is_one_call_on_the_rows_kept(self, module, options, rows, monkeypatch):
-        # presmoothing takes all N curves at once; eigen-smoothing only the K kept
+        # presmoothing takes all N curves at once; eigen-smoothing smooths
+        # the kernel surface, not rows
         shapes = []
         smooth_rows = module.smooth_rows
 
@@ -177,7 +181,7 @@ class TestFit:
         monkeypatch.setattr(module, "smooth_rows", recording)
         model = fit(noisy_sample(n=20, seed=16), FitConfig(n_components=2, **options))
         assert model.n_components == 2
-        assert shapes == [(rows, 51)]
+        assert shapes == ([(rows, 51)] if rows else [])
 
     @pytest.mark.parametrize("method", ["kfpca", "cov"])
     def test_fit_is_eigen_decompose_then_project_scores(self, method):
@@ -185,7 +189,7 @@ class TestFit:
         model = fit(sample, FitConfig(method=method, n_components=0.95))
         k = model.n_components
         kernel = kendall_tau_hat(sample) if method == "kfpca" else covariance_hat(sample)
-        phi = eigen_decompose(kernel, k)
+        phi = kernel.eigenfunctions(k)
         assert k > 2
         assert np.array_equal(np.stack([c.values for c in model.eigenfunctions]), phi)
         assert np.array_equal(model.operator_eigenvalues, kernel.eigenvalues[:k])
@@ -460,7 +464,13 @@ class TestSerialization:
         for key, values in saved.items():
             assert values.tobytes() == np.array(doc[key], dtype=float).tobytes()
         assert back._spectrum_remainder == doc["spectrum_remainder"]
-        assert same(back, fit(saved_sample(), back.config))
+        # eigen-smoothing now smooths the kernel surface, so a re-fit keeps
+        # the mean and gives other, orthonormal eigenfunctions
+        refit = fit(saved_sample(), back.config)
+        assert same(refit.mean, back.mean)
+        phi = refit.eigenfunction_values
+        gram = (phi * refit.grid.weights) @ phi.T
+        assert np.abs(gram - np.eye(2)).max() <= 1e-12
 
     def test_schema_2_flags_off_read_as_no_smoothing(self):
         # a bandwidth beside an unset flag was never used
@@ -640,6 +650,17 @@ class TestSerialization:
         doc = serialize_model(fit(noisy_sample(seed=22), FitConfig(n_components=2)))
         doc["config"][field] = value
         with pytest.raises(ParseError) as err:
+            deserialize_model(json.loads(json.dumps(doc)))
+        assert err.value.path == "config"
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("field", ["presmooth", "eigen_smooth"])
+    def test_schema_3_smoother_is_never_a_bool(self, field, value):
+        # save_model writes null, "auto" or a number; a JSON true used to
+        # load as "auto" and false as off
+        doc = serialize_model(fit(noisy_sample(seed=22), FitConfig(n_components=2)))
+        doc["config"][field] = value
+        with pytest.raises(ParseError, match=f"config: {field} must be") as err:
             deserialize_model(json.loads(json.dumps(doc)))
         assert err.value.path == "config"
 

@@ -61,8 +61,8 @@ def _run(imse, mse, run_index=0):
         lambda: kfpca.project_scores(_SAMPLE, _MEAN, "abc"),
         lambda: kfpca.project_scores(_SAMPLE, _MEAN, [[1.0, 2.0, 3.0], [1.0]]),
         lambda: kfpca.project_scores(_SAMPLE, _MEAN, np.full((2, 3), np.nan)),
-        lambda: kfpca.eigen_decompose(_KERNEL, 2, bandwidth=-1.0),
-        lambda: kfpca.eigen_decompose(_KERNEL, 2, bandwidth="junk"),
+        lambda: kfpca.FitConfig(eigen_smooth=-1.0),
+        lambda: kfpca.fit(_SAMPLE, kfpca.FitConfig(n_components=1, eigen_smooth="junk")),
         lambda: _run("a", [0.0]),
         lambda: _run([0.1, 0.2], [0.1]),
         lambda: kfpca.aggregate([_run([0.1, 0.2], [0.1, 0.2]), _run([0.1], [0.1], 1)]),

@@ -15,15 +15,15 @@ time of each stage in ms:
     presmooth     model.smooth_rows
     mean          model.mean_hat
     kernel        model.kendall_tau_hat
-    eigen         model.eigen_decompose, less the eigen-smoothing inside it
-    eigen-smooth  eigen.smooth_rows
+    eigen         estimators.DiscretizedKernel.eigenfunctions
+    eigen-smooth  model.smooth_kernel, less the eigenfunctions inside it
     scores        model.project_scores
     save          cli.save_model
 
 then ``other`` (argument parsing, checks, model assembly, printing) and the
 whole command.  The stages are timed from outside the library: for the runs,
-each function above is replaced on the module attribute the command calls it
-through by a wrapper that adds its CPU time to the stage, and the originals
+each function above is replaced on the module (or class) attribute the command
+calls it through by a wrapper that adds its CPU time to the stage, and the originals
 are put back afterwards.  Set ``OPENBLAS_NUM_THREADS=1`` (or your BLAS's
 variable) for one BLAS thread, as the benchmark runs.
 
@@ -48,8 +48,8 @@ from pathlib import Path
 import numpy as np
 
 import kfpca.cli as cli
-import kfpca.eigen as eigen
 import kfpca.model as model
+from kfpca.estimators import DiscretizedKernel
 from kfpca.simgen import SimulationScenario, generate
 
 # (module, attribute, stage), in the order a fit runs them
@@ -58,8 +58,8 @@ TARGETS = (
     (model, "smooth_rows", "presmooth"),
     (model, "mean_hat", "mean"),
     (model, "kendall_tau_hat", "kernel"),
-    (model, "eigen_decompose", "eigen"),
-    (eigen, "smooth_rows", "eigen-smooth"),
+    (DiscretizedKernel, "eigenfunctions", "eigen"),
+    (model, "smooth_kernel", "eigen-smooth"),
     (model, "project_scores", "scores"),
     (cli, "save_model", "save"),
 )
