@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .core import FunctionalSample, Grid, _readonly
+from .core import _PAIR_TILE, FunctionalSample, Grid, _readonly
 from .errors import ConfigurationError, EstimationError, KfpcaError, ParseError
 from .estimators import bootstrap_mean_band
 from .metrics import METRIC_NAMES, aggregate, convergence_rate, run_scenario
@@ -85,11 +85,13 @@ def _parse_cells(path, row, line, start):
 
 
 def _load_rows(fh, d, start) -> np.ndarray | None:
-    """The rest of ``fh`` as an N x d array by numpy's C text reader, or
-    None if that reader refuses it or finds no rows.  The id column is
-    converted to zeros rather than left out with ``usecols``, which would
-    also drop a cell past the last grid time.  Without an id column the
-    reader's array is handed over; with one, the sample copies the slice."""
+    """The rest of ``fh`` as a read-only N x d array by numpy's C text
+    reader, or None if that reader refuses it or finds no rows.  The id
+    column is converted to zeros rather than left out with ``usecols``,
+    which would also drop a cell past the last grid time.  The reader's
+    array is handed over; an id column is squeezed out of it in place, one
+    ``_PAIR_TILE``-row block at a time (a block's rows move only over its
+    own, so numpy buffers one block), and the array shrinks to N x d."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # "input contained no data"
@@ -101,13 +103,24 @@ def _load_rows(fh, d, start) -> np.ndarray | None:
         return None
     if values.shape[1] != d + start:
         return None
-    return values[:, start:] if start else _readonly(values)
+    if start:
+        n = len(values)
+        flat = values.reshape(-1)
+        for i0 in range(0, n, _PAIR_TILE):
+            rows = values[i0 : i0 + _PAIR_TILE, 1:]
+            np.copyto(flat[i0 * d : (i0 + len(rows)) * d].reshape(rows.shape), rows)
+        del flat, rows
+        values.resize((n, d), refcheck=False)
+    return _readonly(values)
 
 
 def _parse_rows(path, rows, d, start) -> np.ndarray:
-    """The remaining CSV ``rows`` as an N x d array, each row converted as
-    it is read; blank rows are skipped."""
-    values = []
+    """The remaining CSV ``rows`` as a read-only N x d array, each row
+    converted as it is read into one buffer that grows in place by half
+    its rows when full and shrinks to N rows at the end; blank rows are
+    skipped."""
+    values = np.empty((0, d))
+    n = 0
     for row in rows:
         if not row:
             continue
@@ -116,11 +129,15 @@ def _parse_rows(path, rows, d, start) -> np.ndarray:
                 f"{path}: line {rows.line_num}: expected {d + start} cells, got {len(row)}",
                 path=str(path),
             )
+        if n == len(values):
+            values.resize((n + n // 2 + 1, d), refcheck=False)
         try:
-            values.append(np.fromiter(map(float, row[start:]), float, count=d))
+            values[n] = np.fromiter(map(float, row[start:]), float, count=d)
         except ValueError:  # parse again cell by cell to name the bad one
-            values.append(np.fromiter(_parse_cells(path, row, rows.line_num, start), float, d))
-    return np.array(values).reshape(len(values), d)
+            values[n] = np.fromiter(_parse_cells(path, row, rows.line_num, start), float, d)
+        n += 1
+    values.resize((n, d), refcheck=False)
+    return _readonly(values)
 
 
 def _write_csv(path, header, rows):

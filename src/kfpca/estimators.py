@@ -55,13 +55,23 @@ class DiscretizedKernel:
     problem and maps only those back, through the stored reflections, to
     phi = W^{-1/2} v, orthonormal in the quadrature inner product, with
     signs fixed so each integrates to a non-negative value.
+
+    A kernel holds two d x d arrays, ``matrix`` and the reflections, and
+    a few length-d vectors.  Construction holds at most three: the matrix
+    and two temporaries of its checks, or the matrix, the reduced copy
+    that dsytrd overwrites with the reflections and the block of them that
+    is kept.
     """
 
     grid: Grid
     matrix: np.ndarray
     eigenvalues: np.ndarray = field(init=False, repr=False)
     # dsytrd's output: T's diagonal and off-diagonal, and Q as reflectors
-    # below the first subdiagonal of _reflectors with their scalars _tau
+    # with their scalars _tau.  _reflectors is the (d - 1) x (d - 1) block
+    # below the first row of dsytrd's array, in the Fortran order dormqr
+    # reads without a copy; its diagonal holds the reflectors' implicit
+    # unit entries, which dormqr's unblocked path writes and restores, so
+    # calls on one kernel from several threads write only the ones there
     _diagonal: np.ndarray = field(init=False, repr=False)
     _off_diagonal: np.ndarray = field(init=False, repr=False)
     _reflectors: np.ndarray = field(init=False, repr=False)
@@ -94,6 +104,8 @@ class DiscretizedKernel:
             raise EstimationError(
                 f"kernel matrix is not positive semidefinite (min eig {evals[0]:.3e})"
             )
+        reflectors = np.asfortranarray(reflectors[1:, :-1])
+        np.fill_diagonal(reflectors, 1.0)
         for name, value in (
             ("eigenvalues", evals[::-1]),
             ("_diagonal", diag),
@@ -129,7 +141,9 @@ class DiscretizedKernel:
         (N = 200), so the rule keeps below each break-even.  MRRR (dstemr, index range) was slower
         than either there: 0.099 ms at (d, k) = (51, 2) against dstein's
         0.032, 2.55 ms at (101, 75) against dstevd's 0.93.
-        Raises EstimationError when LAPACK reports a failure.
+        Beyond the k x d result, the inverse-iteration branch holds only
+        arrays of k x d floats or fewer; divide and conquer forms T's d x d
+        eigenvectors.  Raises EstimationError when LAPACK reports a failure.
         """
         d = self.grid.size
         _check_count("n_components", k, 1)
@@ -154,9 +168,7 @@ class DiscretizedKernel:
         # Q = diag(1, H_1 ... H_{d-1}), so row 0 passes through unchanged
         out = np.empty((k, d))
         out[:, 0] = z[0]
-        q_z, _, info = lapack.dormqr(
-            "L", "N", self._reflectors[1:, :-1], self._tau, z[1:], lwork
-        )
+        q_z, _, info = lapack.dormqr("L", "N", self._reflectors, self._tau, z[1:], lwork)
         _lapack_info("dormqr", info)
         out[:, 1:] = q_z.T
         out /= np.sqrt(self.grid.weights)
@@ -227,6 +239,9 @@ def kendall_tau_hat(sample: FunctionalSample) -> DiscretizedKernel:
 
     The result is symmetric, positive semidefinite, and has weighted trace
     one.  It is invariant under common scaling and shifts of the sample.
+    Beyond the sample the estimate holds ``_pair_sum``'s arrays, then its
+    d x d sum A beside the kernel matrix A + A^T, and A is freed before
+    the kernel is reduced, which holds at most three d x d arrays.
 
     Parameters
     ----------
@@ -248,7 +263,9 @@ def kendall_tau_hat(sample: FunctionalSample) -> DiscretizedKernel:
     # (accum + accum^T) / 2 is the unordered-pair sum, which has
     # ordered_retained / 2 terms
     accum /= ordered_retained
-    kernel = DiscretizedKernel(sample.grid, _readonly(accum + accum.T))
+    matrix = _readonly(accum + accum.T)
+    del accum
+    kernel = DiscretizedKernel(sample.grid, matrix)
     if abs(kernel.weighted_trace - 1.0) > TRACE_ATOL:
         raise EstimationError(
             f"weighted trace of a kendall kernel must be 1, got {kernel.weighted_trace!r}"
@@ -283,11 +300,13 @@ def _pair_sum(
     only those on or above the diagonal, and within a diagonal tile only
     j > i, so each unordered pair is visited once.  Rows are centered one
     tile at a time into one tile-sized rhs, which after a row block's last
-    (diagonal) tile holds X_I: every scratch array is tile sized, and
-    beyond ``x`` and ``q`` the sum holds one length-N vector.  A row
-    block's first tile, the last column block, writes its product straight
-    into T_I, so the one tile of N <= ``_PAIR_TILE`` makes no product
-    temporary.
+    (diagonal) tile holds X_I.  Beyond ``x`` and ``q`` the sum holds one
+    length-N vector, the d x d result and tile-sized arrays: lhs, rhs,
+    one tile of inverse norms, the triangle mask of the diagonal tiles
+    (freed after the last of them) and T_I.  A row block's first tile, the
+    last column block, creates T_I as its product, once that tile's drop
+    mask is gone, and the first row block's X_I^T T_I becomes the result,
+    so up to ``_PAIR_TILE`` curves make no d x d or tile-sized temporary.
     """
     n, d = x.shape
     # the GEMM's rounding error is bounded by d + 2 ulps of q_i + q_j: a
@@ -318,7 +337,6 @@ def _pair_sum(
     # one tile's inverse norms, reused so that two tiles are never alive
     scratch = np.empty(tile * tile)
     col_sums = np.zeros(n)
-    accum = np.zeros((d, d))
     retained = 0
     for i0 in range(0, n, tile):
         i1 = min(i0 + tile, n)
@@ -329,7 +347,6 @@ def _pair_sum(
         # einsum writes the strided columns without ufunc buffers
         np.einsum("ij,j->ij", load(i0, i1)[:, :d], -2.0 * w, out=left[:, :d])
         left[:, d] = qi
-        t = np.zeros((m, d + 1))
         for j0 in reversed(range(i0, n, tile)):
             j1 = min(j0 + tile, n)
             # the last row block meets only itself, loaded above
@@ -338,6 +355,8 @@ def _pair_sum(
             np.matmul(left, right.T, out=inv)
             if j0 == i0:
                 inv[on_or_below_diag[:m, :m]] = 0.0
+                if i1 == n:
+                    del on_or_below_diag  # that was the last diagonal tile
             cut = threshold
             if ulps * (qi.max() + q[j0:j1].max()) > threshold:
                 cut = np.maximum(threshold, ulps * np.add.outer(qi, q[j0:j1]))
@@ -348,16 +367,19 @@ def _pair_sum(
             np.reciprocal(inv, out=inv)
             col_sums[j0:j1] += inv.sum(axis=0)
             if j0 == i0:
-                # every tile of column block I lies in row blocks <= I
-                r = col_sums[i0:i1] + t[:, d] + inv.sum(axis=1)
+                # every tile of column block I lies in row blocks <= I; a
+                # diagonal tile that is the row block's first meets no T_I
+                r = col_sums[i0:i1] + (0.0 if j1 == n else t[:, d]) + inv.sum(axis=1)
                 np.fill_diagonal(inv, -0.5 * r)
             if j1 == n:
-                # the row block's first tile: t is still zero, so the
-                # product is written into it, not added from a temporary
-                np.matmul(inv, right[:, : d + 1], out=t)
+                t = inv @ right[:, : d + 1]
             else:
                 t += inv @ right[:, : d + 1]
-        accum += right[:, :d].T @ t[:, :d]
+        if i0 == 0:
+            accum = right[:, :d].T @ t[:, :d]
+        else:
+            accum += right[:, :d].T @ t[:, :d]
+        del t
     accum *= -2.0
     return accum, 2 * retained
 
@@ -394,22 +416,32 @@ def smooth_kernel(kernel: DiscretizedKernel, bandwidth) -> DiscretizedKernel:
     ``bandwidth`` is a positive float or "auto", which picks one bandwidth
     by GCV on M's leading eigenfunction, as ``smooth_rows`` picks it for one
     row; any other value is a ConfigurationError.  The surface is formed as
-    P = (S M / 2) S^T and returned as P + P^T, exactly symmetric; the grid
-    differences and the smoother's work space are freed before it.
+    P = (S M / 2) S^T and returned as P + P^T, exactly symmetric.
+
+    At most four d x d arrays are alive at once: the leading eigenfunction
+    is computed first, then ``kernel`` is let go (its reflections are
+    freed unless the caller holds it) and M is held beside the grid
+    differences, the smoother and its work space; S M is held beside M
+    and S, P beside S M and S, and P + P^T is written over S M.
     """
     bandwidth = _check_bandwidth("bandwidth", bandwidth)
-    grid = kernel.grid
+    grid, matrix = kernel.grid, kernel.matrix
+    phi = kernel.eigenfunctions(1) if bandwidth == "auto" else None
+    del kernel
     dt = grid.points[None, :] - grid.points[:, None]
     k, s = np.empty_like(dt), np.empty_like(dt)
     if bandwidth == "auto":
-        bandwidth = _gcv_smooth(grid, kernel.eigenfunctions(1), dt, k, s)[1][0]
+        bandwidth = _gcv_smooth(grid, phi, dt, k, s)[1][0]
     _local_linear_matrix(dt, bandwidth, k, s)
     del dt, k
-    left = s @ kernel.matrix
-    left *= 0.5
-    half = left @ s.T
-    del left, s
-    return DiscretizedKernel(grid, _readonly(half + half.T))
+    surface = s @ matrix
+    del matrix
+    surface *= 0.5
+    half = surface @ s.T
+    del s
+    np.add(half, half.T, out=surface)
+    del half
+    return DiscretizedKernel(grid, _readonly(surface))
 
 
 def bootstrap_mean_band(

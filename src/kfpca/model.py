@@ -242,6 +242,15 @@ def fit(sample: FunctionalSample, config: FitConfig) -> FpcaModel:
         Mean, K x d eigenfunction array, operator eigenvalues and score
         matrix, ordered by the decomposed spectrum: the kernel's, or under
         ``eigen_smooth`` the smoothed kernel's, which also sets K and the FVE.
+
+    Each stage holds only what it still reads.  Presmoothing rebinds
+    ``sample``, so the raw curves go once smoothed unless the caller holds
+    them.  An estimate to be smoothed is handed to ``smooth_kernel``
+    without a name here, so its reflections go as the smoothing starts
+    (CPython 3.11 and later move a call's arguments into the callee's
+    frame).  The kernel goes once its K eigenfunctions and its spectrum are
+    read: score projection holds the curves, the mean, the K x d
+    eigenfunctions and the N x K scores.
     """
     if sample.n_subjects < 3:
         raise InputError("fit needs at least 3 curves")
@@ -253,14 +262,17 @@ def fit(sample: FunctionalSample, config: FitConfig) -> FpcaModel:
         sample = FunctionalSample(sample.grid, _readonly(smoothed))
 
     mean = mean_hat(sample)
-    kernel = (kendall_tau_hat if config.method == KFPCA else covariance_hat)(sample)
-    if config.eigen_smooth is not None:
-        kernel = smooth_kernel(kernel, config.eigen_smooth)
+    estimate = kendall_tau_hat if config.method == KFPCA else covariance_hat
+    if config.eigen_smooth is None:
+        kernel = estimate(sample)
+    else:
+        kernel = smooth_kernel(estimate(sample), config.eigen_smooth)
 
-    k = _select_k(kernel.eigenvalues, config.n_components)
-    phi = kernel.eigenfunctions(k)
-    scores = _readonly(project_scores(sample, mean, phi))
     ev = kernel.eigenvalues
+    k = _select_k(ev, config.n_components)
+    phi = kernel.eigenfunctions(k)
+    del kernel
+    scores = _readonly(project_scores(sample, mean, phi))
     return FpcaModel(mean, _readonly(phi), ev[:k], scores, config, float(ev[k:].sum()))
 
 

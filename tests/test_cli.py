@@ -70,6 +70,37 @@ class TestReadDataset:
             tracemalloc.stop()
         assert peak <= 1.5 * sample.values.nbytes
 
+    def test_an_id_column_is_squeezed_out_in_place(self, tmp_path):
+        # 4000 rows span several 256-row blocks; the sample copied the slice
+        # past the id column, and the read peaked at about 2.14x the matrix
+        sample = generate(SimulationScenario(n_subjects=4000, n_points=101, seed=4), 0).sample
+        path = tmp_path / "data.csv"
+        write_dataset(path, sample, with_id=True)
+        tracemalloc.start()
+        try:
+            parsed = read_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.35 * parsed.values.nbytes
+        assert np.array_equal(parsed.values, sample.values)
+
+    @pytest.mark.parametrize("with_id", [False, True])
+    def test_the_row_by_row_reader_fills_one_buffer(self, tmp_path, with_id):
+        # a list of row arrays beside their stack, copied into the sample,
+        # peaked at about 2.41x the matrix
+        sample = generate(SimulationScenario(n_subjects=2000, n_points=51, seed=3), 0).sample
+        path = tmp_path / "data.csv"
+        write_dataset(path, sample, with_id=with_id)
+        tracemalloc.start()
+        try:
+            parsed = _read_dataset(path, fast=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * parsed.values.nbytes
+        assert np.array_equal(parsed.values, sample.values)
+
     def test_empty_file_names_the_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -24,12 +26,27 @@ from kfpca import (
     make_regular_grid,
     mean_hat,
 )
-from kfpca.estimators import _centered
+from kfpca.estimators import _centered, smooth_kernel
 
 
 def gaussian_case1_sample(n, seed=0, run=0):
     scenario = SimulationScenario(n_subjects=n, seed=seed, runs=run + 1)
     return generate(scenario, run).sample
+
+
+def skew_t_sample(n, d, seed=86):
+    scenario = SimulationScenario(distribution="skew_t", n_subjects=n, n_points=d, seed=seed)
+    return generate(scenario, 0).sample
+
+
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pairwise_reference(values, weights):
@@ -274,6 +291,20 @@ class TestPairTiles:
         # copy of the sample (0.8 MB here), does not fit
         budget = (3 * kfpca.estimators._PAIR_TILE**2 + 4 * n) * 8
         assert peak < budget
+
+    @pytest.mark.parametrize("n, d", [(200, 101), (100, 51)])
+    def test_one_tile_holds_each_array_once(self, n, d):
+        sample = skew_t_sample(n, d)
+        mu, q, mean_sq_norm = _centered(sample)
+        w = sample.grid.weights
+        peak = traced_peak(
+            lambda: kfpca.estimators._pair_sum(sample.values, mu, q, w, 1e-12 * mean_sq_norm)
+        )
+        # one tile of inverse norms, lhs and rhs (tile x (d + 2) each), T_I
+        # (tile x (d + 1)), the d x d result and one tile-sized boolean
+        # mask at a time: no d x d product added to zeros, and T_I is not
+        # made beside the drop mask nor the result beside the triangle mask
+        assert peak <= 8 * (n * n + n * (2 * d + 4) + n * (d + 1) + d * d) + n * n + 16 * 1024
 
 
 @st.composite
@@ -590,6 +621,67 @@ class TestLeadingEigenvectors:
     def test_no_eigenvector_matrix_is_kept(self):
         kernel = solved_kernel("kendall", 100, 51)[0]
         assert not hasattr(kernel, "eigenvectors")
+
+    def test_threads_share_one_kernel(self):
+        # dormqr reads the stored reflections in place, and its unblocked
+        # path sets each one's leading entry, their diagonal, to 1 while it
+        # applies it and then restores it: threads change nothing there
+        # only if the kernel stores those ones itself
+        d = 601
+        x = derive_rng(87, 0).standard_normal((d, 12))
+        kernel = kfpca.DiscretizedKernel(make_regular_grid(0, 1, d), x @ x.T)
+        reference = kernel.eigenfunctions(3)
+        results = []
+        # the threads start each call together, so they walk the
+        # reflections in step
+        start = threading.Barrier(2, timeout=60)
+
+        def work():
+            for _ in range(50):
+                start.wait()
+                results.append(np.array_equal(kernel.eigenfunctions(3), reference))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [True] * 100
+        assert np.array_equal(kernel.eigenfunctions(3), reference)
+        assert np.array_equal(np.diag(kernel._reflectors), np.ones(d - 1))
+
+    @pytest.mark.parametrize("d, k", [(101, 2), (401, 3)])
+    def test_inverse_iteration_makes_no_d_by_d_copy(self, d, k):
+        kernel = kendall_tau_hat(skew_t_sample(100, d))
+        assert traced_peak(lambda: kernel.eigenfunctions(k)) <= 0.25 * 8 * d * d
+
+
+class TestKernelMemory:
+    """Peaks in d x d float arrays at the shape N = 200, d = 401."""
+
+    d = 401
+
+    def peak(self, call) -> float:
+        return traced_peak(call) / (8 * self.d**2)
+
+    def test_kendall_frees_its_pair_sum_before_the_reduction(self):
+        sample = skew_t_sample(200, self.d)
+        # the kernel matrix, the reduced copy dsytrd overwrites and the
+        # kept block of reflections, and the pair sum's tiles
+        assert self.peak(lambda: kendall_tau_hat(sample)) <= 3.2
+
+    @pytest.mark.parametrize("bandwidth", ["auto", 0.5])
+    def test_smoothing_lets_the_estimate_go(self, bandwidth):
+        sample = skew_t_sample(200, self.d)
+        # M beside the grid differences, the smoother and its work space;
+        # the estimate's reflections are gone by then
+        assert self.peak(lambda: smooth_kernel(kendall_tau_hat(sample), bandwidth)) <= 4.3
 
 
 class TestBootstrapMeanBand:

@@ -58,9 +58,16 @@ def test_peaks_are_read_per_stage_and_count_toward_the_outer_stage(capsys):
     assert fit_stages.main(["--n", "12", "--d", "9", "--ncomp", "2", "--repeats", "1", "--peak"]) == 0
     lines = capsys.readouterr().out.splitlines()
     start = lines.index("tracemalloc KiB of one untimed run: at entry, peak")
-    rows = {line.split()[0]: [float(x) for x in line.split()[1:]] for line in lines[start + 1 :]}
+    unwrapped = lines.index("tracemalloc KiB of one run with no stage wrapped: peak")
+    rows = {line.split()[0]: [float(x) for x in line.split()[1:]] for line in lines[start + 1 : unwrapped]}
     assert list(rows) == [*fit_stages.STAGES, "total"]
     total = rows["total"][1]
     # every stage but the first starts with something alive, and peaks above it
     assert all(0 < entry < kib <= total for entry, kib in list(rows.values())[1:-1])
     assert 0 <= rows["read"][0] < rows["read"][1] <= total
+    # the whole command with no stage wrapped; at this shape it differs
+    # from the wrapped run's total by what earlier runs left cached more
+    # than by the arguments the wrappers hold
+    name, command = lines[unwrapped + 1].split()
+    assert name == "command" and len(lines) == unwrapped + 2
+    assert float(command) > 0

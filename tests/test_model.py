@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -768,6 +769,45 @@ class TestFitMemory:
         budget = 3 * kfpca.estimators._PAIR_TILE**2 * 8
         assert peak - model.scores.nbytes < budget
         assert model.scores.nbytes > budget / 4
+
+    @staticmethod
+    def record_kernels(monkeypatch) -> list:
+        """Weak references to every kernel built from here on, each checked
+        dead when the next is built."""
+        build = kfpca.estimators.DiscretizedKernel
+        built = []
+
+        def building(grid, matrix):
+            assert all(ref() is None for ref in built)
+            kernel = build(grid, matrix)
+            built.append(weakref.ref(kernel))
+            return kernel
+
+        monkeypatch.setattr(kfpca.estimators, "DiscretizedKernel", building)
+        return built
+
+    @pytest.mark.parametrize("method", ["kfpca", "cov"])
+    def test_the_estimate_is_dead_when_its_smoothed_kernel_is_built(self, method, monkeypatch):
+        built = self.record_kernels(monkeypatch)
+        fit(noisy_sample(), FitConfig(method=method, n_components=2, eigen_smooth="auto"))
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("eigen_smooth", [None, "auto"])
+    @pytest.mark.parametrize("method", ["kfpca", "cov"])
+    def test_the_kernel_is_dead_when_scores_are_projected(
+        self, method, eigen_smooth, monkeypatch
+    ):
+        built = self.record_kernels(monkeypatch)
+        project = kfpca.model.project_scores
+
+        def projecting(*args):
+            assert all(ref() is None for ref in built)
+            return project(*args)
+
+        monkeypatch.setattr(kfpca.model, "project_scores", projecting)
+        config = FitConfig(method=method, n_components=2, eigen_smooth=eigen_smooth)
+        fit(noisy_sample(), config)
+        assert len(built) == (1 if eigen_smooth is None else 2)
 
     @pytest.mark.parametrize("presmooth", [False, True])
     @pytest.mark.parametrize("method", ["kfpca", "cov"])
