@@ -95,10 +95,10 @@ def _check_non_negative(name: str, value) -> None:
 
 def _check_bandwidth(name: str, value) -> float | str:
     """``value`` as "auto" or a float; raise ConfigurationError unless it is
-    "auto" or a real > 0 that is neither a bool nor NaN."""
+    "auto" or a finite real > 0 that is not a bool."""
     if isinstance(value, str) and value == "auto":
         return value
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value > 0):
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value < np.inf):
         raise ConfigurationError(f"{name} must be positive or 'auto', got {value!r}")
     return float(value)
 
@@ -233,31 +233,38 @@ def _weighted_dots(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ weights)[:, 0]
 
 
-def _local_linear_matrix(dt, bandwidth: float, k, s) -> float:
-    """Fill ``s`` with the smoother matrix of a Gaussian local-linear fit and
-    return its trace; ``dt`` holds points[j] - points[i], ``k`` is work space.
+def _weight_floor(d: int) -> float:
+    """The log of the least kernel weight ``_smoother_weights`` keeps on a
+    grid of d points, 2^54 d tiny (tiny = 2.2e-308, the smallest normal
+    double)."""
+    return float(np.log(2.0**54 * d * np.finfo(float).tiny))
 
-    Row i, the fit at points[i], is a_i K_i - b_i (K o dt)_i, where s_m are
-    the row sums of K o dt^m, a = s2/denom, b = s1/denom, denom = s0 s2 - s1^2.
-    It reproduces constants and linears at any bandwidth; the trace is sum(a).
 
-    Weights below the floor 2^54 d tiny (tiny = 2.2e-308, the smallest
-    normal double) are 0 without an exp call, since exp on such arguments
-    and a product meeting subnormals each run about ten times slower; no
-    fitted value not itself near 1e-290 moves.  As a >= 1/s0 >= 1/d, each
-    kept a K is at least 2^54 tiny, so every entry of S is 0 or at least
-    2 tiny and none is subnormal.  The least weight is at dt[0, -1]; only a
-    bandwidth that puts it below the floor pays for the mask.
+def _smoother_weights(dt, bandwidth: float, floor: float, k, s) -> tuple[np.ndarray, np.ndarray]:
+    """Fill ``k`` with the Gaussian weights K of a local-linear fit and ``s``
+    with K o dt, and return the row coefficients a and b, for which the
+    smoother matrix is S = diag(a) K - diag(b) (K o dt) (``_assemble_smoother``);
+    ``dt`` holds points[j] - points[i] and ``floor`` is ``_weight_floor(d)``.
+    The caller ignores overflow (``np.errstate(over="ignore")``): below
+    about 1e-154 of the span a bandwidth overflows the squares to inf, a
+    weight of exactly 0, as below the floor.
+
+    With s_m the row sums of K o dt^m, a = s2/denom and b = s1/denom,
+    denom = s0 s2 - s1^2; S reproduces constants and linears at any
+    bandwidth, and its trace is sum(a).
+
+    Weights below the floor are 0 without an exp call, since exp on such
+    arguments and a product meeting subnormals each run about ten times
+    slower; no fitted value not itself near 1e-290 moves.  As
+    a >= 1/s0 >= 1/d, each kept a K is at least 2^54 tiny, so every entry
+    of S is 0 or at least 2 tiny and none is subnormal.  The least weight
+    is at dt[0, -1]; only a bandwidth that puts it below the floor pays for
+    the mask.
     """
-    tiny = np.finfo(float).tiny
-    floor = np.log(2.0**54 * len(dt) * tiny)
-    # below about 1e-154 of the span a bandwidth overflows the squares to
-    # inf, a weight of exactly 0, as below the floor
-    with np.errstate(over="ignore"):
-        np.divide(dt, bandwidth, out=s)
-        np.multiply(s, s, out=s)
-        np.multiply(s, -0.5, out=s)
-        underflows = -0.5 * (dt[0, -1] / bandwidth) ** 2 < floor
+    np.divide(dt, bandwidth, out=s)
+    np.multiply(s, s, out=s)
+    np.multiply(s, -0.5, out=s)
+    underflows = -0.5 * (dt[0, -1] / bandwidth) ** 2 < floor
     if underflows:
         k.fill(0.0)
     np.exp(s, out=k, where=s >= floor if underflows else True)
@@ -268,12 +275,26 @@ def _local_linear_matrix(dt, bandwidth: float, k, s) -> float:
     denom = s0 * s2 - s1 * s1
     # Tiny bandwidths concentrate all mass on one point and the local-linear
     # system degenerates; fall back to a local-constant fit (a = 1/s0, b = 0).
-    bad = denom <= tiny * np.maximum(s0 * s2, 1.0)
+    bad = denom <= np.finfo(float).tiny * np.maximum(s0 * s2, 1.0)
     s2[bad], s1[bad], denom[bad] = 1.0, 0.0, s0[bad]
-    a, b = s2 / denom, s1 / denom
+    return s2 / denom, s1 / denom
+
+
+def _assemble_smoother(a: np.ndarray, b: np.ndarray, k, s) -> None:
+    """Overwrite ``s`` with S = diag(a) K - diag(b) (K o dt) from the
+    arrays ``_smoother_weights`` filled; ``k`` is left as work space."""
     np.multiply(s, b[:, None], out=s)
     np.multiply(k, a[:, None], out=k)
     np.subtract(k, s, out=s)
+
+
+def _local_linear_matrix(dt, bandwidth: float, k, s) -> float:
+    """Fill ``s`` with the smoother matrix of a Gaussian local-linear fit
+    (``_smoother_weights``) and return its trace; ``dt`` holds
+    points[j] - points[i], ``k`` is work space."""
+    with np.errstate(over="ignore"):
+        a, b = _smoother_weights(dt, bandwidth, _weight_floor(len(dt)), k, s)
+    _assemble_smoother(a, b, k, s)
     return float(a.sum())
 
 
@@ -302,37 +323,64 @@ def smooth_rows(grid: Grid, values: np.ndarray, bandwidth="auto") -> np.ndarray:
     dt = grid.points[None, :] - grid.points[:, None]
     k, s = np.empty_like(dt), np.empty_like(dt)
     if bandwidth == "auto":
-        return _gcv_smooth(grid, values, dt, k, s)[0]
+        return _gcv_smooth(grid, values, dt, k, s)
     _local_linear_matrix(dt, bandwidth, k, s)
     return values @ s.T
 
 
-def _gcv_smooth(grid: Grid, values: np.ndarray, dt, k, s) -> tuple[np.ndarray, np.ndarray]:
+def _gcv_smooth(grid: Grid, values: np.ndarray, dt, k, s) -> np.ndarray:
     """Each row of ``values`` smoothed at its GCV bandwidth, the candidate
     with the least score d RSS / df^2 among those with df = d - tr(S) above
-    1e-8, and the n bandwidths chosen; ``dt``, ``k`` and ``s`` are as for
-    ``_local_linear_matrix``, which leaves ``s`` at the last candidate.
+    1e-8; ``dt``, ``k`` and ``s`` are as for ``_local_linear_matrix``.
     Raises EstimationError if no candidate gives a row a finite score."""
     n, d = len(values), grid.size
+    floor = _weight_floor(d)
     out = np.empty_like(values)
     fitted = np.empty((min(_PAIR_TILE, n), d))
     resid = np.empty_like(fitted)
     best = np.full(n, np.inf)
-    chosen = np.empty(n)
-    for cand in gcv_bandwidth_candidates(grid):
-        df = d - _local_linear_matrix(dt, cand, k, s)
-        if df < 1e-8:
-            continue
-        for i0 in range(0, n, _PAIR_TILE):
-            rows = values[i0 : i0 + _PAIR_TILE]
-            fit = np.matmul(rows, s.T, out=fitted[: len(rows)])
-            res = np.subtract(rows, fit, out=resid[: len(rows)])
-            score = d * np.einsum("ij,ij->i", res, res) / df**2
-            best_rows = best[i0 : i0 + len(rows)]
-            better = score < best_rows
-            best_rows[better] = score[better]
-            chosen[i0 : i0 + len(rows)][better] = cand
-            np.copyto(out[i0 : i0 + len(rows)], fit, where=better[:, None])
+    with np.errstate(over="ignore"):
+        for cand in gcv_bandwidth_candidates(grid):
+            a, b = _smoother_weights(dt, cand, floor, k, s)
+            df = d - float(a.sum())
+            if df < 1e-8:
+                continue
+            _assemble_smoother(a, b, k, s)
+            del a, b  # not held beside the block's fits
+            for i0 in range(0, n, _PAIR_TILE):
+                rows = values[i0 : i0 + _PAIR_TILE]
+                fit = np.matmul(rows, s.T, out=fitted[: len(rows)])
+                res = np.subtract(rows, fit, out=resid[: len(rows)])
+                score = d * np.einsum("ij,ij->i", res, res) / df**2
+                best_rows = best[i0 : i0 + len(rows)]
+                better = score < best_rows
+                best_rows[better] = score[better]
+                np.copyto(out[i0 : i0 + len(rows)], fit, where=better[:, None])
     if not np.all(np.isfinite(best)):
         raise EstimationError("no GCV bandwidth gives a finite score")
-    return out, chosen
+    return out
+
+
+def _gcv_bandwidth(grid: Grid, y: np.ndarray, dt, k, s) -> float:
+    """The GCV bandwidth of the one row ``y``, picked by ``_gcv_smooth``'s
+    rule, without a smoother matrix: a candidate's fit
+    S y = a o (K y) - b o ((K o dt) y) is two matrix-vector products on the
+    arrays ``_smoother_weights`` fills in ``k`` and ``s`` (``dt`` as there),
+    and tr(S) = sum(a).  Raises EstimationError if no candidate gives a
+    finite score."""
+    d = grid.size
+    floor = _weight_floor(d)
+    best, chosen = np.inf, None
+    with np.errstate(over="ignore"):
+        for cand in gcv_bandwidth_candidates(grid):
+            a, b = _smoother_weights(dt, cand, floor, k, s)
+            df = d - float(a.sum())
+            if df < 1e-8:
+                continue
+            res = y - (a * (k @ y) - b * (s @ y))
+            score = d * float(res @ res) / df**2
+            if score < best:
+                best, chosen = score, cand
+    if chosen is None:
+        raise EstimationError("no GCV bandwidth gives a finite score")
+    return float(chosen)

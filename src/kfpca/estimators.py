@@ -21,7 +21,7 @@ from .core import (
     _check_bandwidth,
     _check_count,
     _frozen_array,
-    _gcv_smooth,
+    _gcv_bandwidth,
     _local_linear_matrix,
     _readonly,
     derive_rng,
@@ -303,10 +303,13 @@ def _pair_sum(
     (diagonal) tile holds X_I.  Beyond ``x`` and ``q`` the sum holds one
     length-N vector, the d x d result and tile-sized arrays: lhs, rhs,
     one tile of inverse norms, the triangle mask of the diagonal tiles
-    (freed after the last of them) and T_I.  A row block's first tile, the
-    last column block, creates T_I as its product, once that tile's drop
-    mask is gone, and the first row block's X_I^T T_I becomes the result,
-    so up to ``_PAIR_TILE`` curves make no d x d or tile-sized temporary.
+    and T_I.  A row block's first tile, the last column block, creates T_I
+    as its product, once that tile's drop mask is gone, and the first row
+    block's X_I^T T_I becomes the result, so up to ``_PAIR_TILE`` curves
+    make no d x d or tile-sized temporary.  The last row block meets only
+    its diagonal tile: lhs and the triangle mask go after its Gram
+    product, and the tile of inverse norms after its T_I product, so its
+    X_I^T T_I is formed beside rhs and T_I alone.
     """
     n, d = x.shape
     # the GEMM's rounding error is bounded by d + 2 ulps of q_i + q_j: a
@@ -356,7 +359,8 @@ def _pair_sum(
             if j0 == i0:
                 inv[on_or_below_diag[:m, :m]] = 0.0
                 if i1 == n:
-                    del on_or_below_diag  # that was the last diagonal tile
+                    # that was the last diagonal tile and Gram product
+                    del on_or_below_diag, lhs, left
             cut = threshold
             if ulps * (qi.max() + q[j0:j1].max()) > threshold:
                 cut = np.maximum(threshold, ulps * np.add.outer(qi, q[j0:j1]))
@@ -375,6 +379,8 @@ def _pair_sum(
                 t = inv @ right[:, : d + 1]
             else:
                 t += inv @ right[:, : d + 1]
+        if i1 == n:
+            del scratch, inv  # that was the last T_I product
         if i0 == 0:
             accum = right[:, :d].T @ t[:, :d]
         else:
@@ -413,10 +419,15 @@ def smooth_kernel(kernel: DiscretizedKernel, bandwidth) -> DiscretizedKernel:
     local-linear smoother S of ``core.smooth_rows``, as a new kernel: it is
     PSD as M is, and its eigenfunctions are orthonormal as any kernel's are.
 
-    ``bandwidth`` is a positive float or "auto", which picks one bandwidth
-    by GCV on M's leading eigenfunction, as ``smooth_rows`` picks it for one
-    row; any other value is a ConfigurationError.  The surface is formed as
-    P = (S M / 2) S^T and returned as P + P^T, exactly symmetric.
+    ``bandwidth`` is a finite positive float or "auto", which picks one
+    bandwidth by GCV on M's leading eigenfunction phi_1, by the rule with
+    which ``smooth_rows`` picks it for one row; any other value is a
+    ConfigurationError.  "auto" builds no smoother to score a candidate:
+    it fills K and K o dt as the smoother build does, takes a and b from
+    their row moments, and fits S phi_1 = a o (K phi_1) - b o ((K o dt) phi_1)
+    with two matrix-vector products, df being d - sum(a).  S is assembled
+    once, at the pick.  The surface is formed as P = (S M / 2) S^T and
+    returned as P + P^T, exactly symmetric.
 
     At most four d x d arrays are alive at once: the leading eigenfunction
     is computed first, then ``kernel`` is let go (its reflections are
@@ -431,7 +442,7 @@ def smooth_kernel(kernel: DiscretizedKernel, bandwidth) -> DiscretizedKernel:
     dt = grid.points[None, :] - grid.points[:, None]
     k, s = np.empty_like(dt), np.empty_like(dt)
     if bandwidth == "auto":
-        bandwidth = _gcv_smooth(grid, phi, dt, k, s)[1][0]
+        bandwidth = _gcv_bandwidth(grid, phi[0], dt, k, s)
     _local_linear_matrix(dt, bandwidth, k, s)
     del dt, k
     surface = s @ matrix

@@ -537,6 +537,11 @@ class TestMainPlumbing:
              "presmooth must be positive"),
             (["fit", "{data}", "--eigen-bandwidth", "bogus", "--out", "{out}"], 2,
              "eigen_smooth must be positive or 'auto', got 'bogus'"),
+            # an infinite bandwidth used to be saved as Infinity, not JSON
+            (["fit", "{data}", "--presmooth-bandwidth", "inf", "--out", "{out}"], 2,
+             "presmooth must be positive or 'auto', got inf"),
+            (["fit", "{data}", "--eigen-bandwidth", "Infinity", "--out", "{out}"], 2,
+             "eigen_smooth must be positive or 'auto', got inf"),
             (["fit", "{identical}", "--method", "kfpca", "--out", "{out}"], 3,
              "all curve pairs are degenerate"),
             (["KFPCA_THREADS=junk", "simulate", "--n", "20", "--grid", "11", "--runs", "1",
@@ -549,7 +554,8 @@ class TestMainPlumbing:
         ids=[
             "fit-missing-dir", "simulate-missing-dir", "mean-band-missing-dir",
             "rate-missing-dir", "non-utf8-csv", "negative-bandwidth",
-            "unused-negative-bandwidth", "unknown-bandwidth", "identical-curves",
+            "unused-negative-bandwidth", "unknown-bandwidth", "infinite-bandwidth",
+            "infinite-eigen-bandwidth", "identical-curves",
             "simulate-bad-threads", "simulate-unknown-method", "simulate-no-method",
             "fit-unknown-method", "simulate-unknown-case",
         ],

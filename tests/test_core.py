@@ -291,7 +291,8 @@ class TestSmoothCurve:
 
     # True used to smooth with bandwidth 1.0
     @pytest.mark.parametrize(
-        "bandwidth", [0.0, -1.0, "bogus", True, np.bool_(True), float("nan"), None]
+        "bandwidth",
+        [0.0, -1.0, "bogus", True, np.bool_(True), float("nan"), None, float("inf"), np.inf],
     )
     def test_invalid_bandwidth(self, bandwidth):
         g = make_regular_grid(0, 10, 11)

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kfpca.core
 import kfpca.model
 from kfpca import (
     ConfigurationError,
@@ -132,7 +135,9 @@ class TestEigenDecompose:
         with pytest.raises(ConfigurationError):
             kernel.eigenfunctions(0)
 
-    @pytest.mark.parametrize("bandwidth", [-1.0, 0.0, float("nan"), True, "junk"])
+    @pytest.mark.parametrize(
+        "bandwidth", [-1.0, 0.0, float("nan"), True, "junk", float("inf"), np.inf]
+    )
     def test_bandwidth_validated(self, bandwidth):
         # the kernel surface is smoothed at "auto" or a positive bandwidth
         kernel, _, _ = case1_kernel()
@@ -272,10 +277,40 @@ class TestKernelSmoothing:
         gram = (phi * model.grid.weights) @ phi.T
         assert np.abs(gram - np.eye(len(phi))).max() <= 1e-12
 
+    def test_auto_assembles_one_smoother(self, monkeypatch):
+        calls = []
+        assemble = kfpca.core._assemble_smoother
+
+        def counting(*args):
+            calls.append(1)
+            return assemble(*args)
+
+        monkeypatch.setattr(kfpca.core, "_assemble_smoother", counting)
+        smooth_kernel(kendall_tau_hat(noisy_sample(n=80, seed=7)), "auto")
+        # the one at the pick; the 20 candidates are scored without one
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("method", ["kfpca", "cov"])
     def test_auto_is_the_gcv_bandwidth_of_the_leading_eigenfunction(self, method):
-        sample = noisy_sample(n=80, seed=7)
         estimate = kendall_tau_hat if method == "kfpca" else covariance_hat
+        # "auto" scores each candidate from the kernel weights' row moments
+        # and builds no smoother for it; its pick must be the one the
+        # oracle's loop over smoother matrices makes
+        for d, seed in itertools.product([11, 51, 101, 401], [7, 8, 9]):
+            scenario = SimulationScenario(
+                distribution="skew_t", n_subjects=80, n_points=d, seed=seed
+            )
+            kernel = estimate(generate(scenario, 0).sample)
+            _, pick = gcv_fit(
+                numerator_local_linear_matrix, kernel.grid, kernel.eigenfunctions(1)
+            )
+            # on 11 points GCV keeps the least candidate; elsewhere it chooses
+            assert (pick[0] == 0) if d == 11 else (0 < pick[0] < 19), (d, seed)
+            h = float(gcv_bandwidth_candidates(kernel.grid)[pick[0]])
+            auto = smooth_kernel(kernel, "auto").matrix.tobytes()
+            assert auto == smooth_kernel(kernel, h).matrix.tobytes(), (d, seed)
+        # and the whole fit at "auto" is the fit at the picked bandwidth
+        sample = noisy_sample(n=80, seed=7)
         phi1 = estimate(sample).eigenfunctions(1)
         _, pick = gcv_fit(numerator_local_linear_matrix, sample.grid, phi1)
         # an interior candidate: GCV chose, not the end of the range

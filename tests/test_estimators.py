@@ -306,6 +306,17 @@ class TestPairTiles:
         # made beside the drop mask nor the result beside the triangle mask
         assert peak <= 8 * (n * n + n * (2 * d + 4) + n * (d + 1) + d * d) + n * n + 16 * 1024
 
+    @pytest.mark.parametrize("n, d", [(200, 101), (100, 51)])
+    def test_one_tile_frees_lhs_and_inverse_norms_before_the_result(self, n, d):
+        sample = skew_t_sample(n, d)
+        # the peak is the Gram product: one tile of inverse norms, lhs, rhs
+        # and the triangle mask.  lhs goes after it and the inverse norms
+        # after T_I, so X_I^T T_I is formed beside rhs and T_I alone, and
+        # the kernel's d x d arrays stay below that; 32 KiB covers the
+        # length-N and length-d vectors
+        peak = traced_peak(lambda: kendall_tau_hat(sample))
+        assert peak <= 8 * (n * n + n * (2 * d + 4)) + n * n + 32 * 1024
+
 
 @st.composite
 def samples_with_duplicates(draw):

@@ -238,7 +238,9 @@ class TestFit:
 
     @pytest.mark.parametrize("field", ["presmooth", "eigen_smooth"])
     @pytest.mark.parametrize(
-        "bad", [-1, -1.0, 0, 0.0, "bogus", "1.0", "", float("nan"), np.array([True])]
+        "bad",
+        [-1, -1.0, 0, 0.0, "bogus", "1.0", "", float("nan"), np.array([True]),
+         float("inf"), np.inf],
     )
     def test_smoother_setting_is_off_auto_or_a_positive_bandwidth(self, field, bad):
         with pytest.raises(ConfigurationError, match=f"^{field} must be positive or 'auto'"):
@@ -278,7 +280,9 @@ class TestFit:
 
     @pytest.mark.parametrize("field", ["presmooth_bandwidth", "eigen_bandwidth"])
     @pytest.mark.parametrize(
-        "bad", [-1, -1.0, 0.0, "bogus", "1.0", float("nan"), True, np.bool_(True), None]
+        "bad",
+        [-1, -1.0, 0.0, "bogus", "1.0", float("nan"), True, np.bool_(True), None,
+         float("inf")],
     )
     def test_bandwidth_must_be_auto_or_positive(self, field, bad):
         # both flags of the document are set, so both bandwidths are read
@@ -645,9 +649,12 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "field, value",
         [("n_components", 2.5), ("presmooth", "false"), ("presmooth", 0),
-         ("eigen_smooth", -1.0), ("eigen_smooth", "bogus")],
+         ("eigen_smooth", -1.0), ("eigen_smooth", "bogus"), ("presmooth", float("inf")),
+         ("eigen_smooth", float("inf"))],
     )
     def test_saved_schema_3_config_is_not_coerced(self, field, value):
+        # json.dumps writes an infinite bandwidth as Infinity and json.loads
+        # reads it back, though no RFC 8259 document holds one
         doc = serialize_model(fit(noisy_sample(seed=22), FitConfig(n_components=2)))
         doc["config"][field] = value
         with pytest.raises(ParseError) as err:
