@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 import kfpca.core
 from kfpca.core import (
+    _DenseSmoothers,
+    _ProfileSmoothers,
     _frozen_array,
-    _local_linear_matrix,
+    _smoother,
     _weighted_dots,
     gcv_bandwidth_candidates,
     smooth_rows,
 )
 from kfpca.simgen import CASES, DISTRIBUTIONS
+from kfpca.core import GCV_CANDIDATE_COUNT
 from kfpca import (
     ConfigurationError,
     Curve,
@@ -45,20 +48,29 @@ def fine_quadrature(fn, a=0.0, b=10.0, d=20001):
 
 
 def local_linear_matrix(points, bandwidth):
-    """The library's smoother matrix, built in a fresh workspace."""
-    dt = points[None, :] - points[:, None]
-    s = np.empty_like(dt)
-    _local_linear_matrix(dt, bandwidth, np.empty_like(dt), s)
-    return s
+    """The library's dense smoother matrix, which any grid can take."""
+    smoothers = _DenseSmoothers(Grid(points), [bandwidth])
+    return smoothers.matrix(*smoothers.weights(0))
+
+
+def profile_local_linear_matrix(points, bandwidth):
+    """The library's profile smoother matrix, for equally spaced points."""
+    smoothers = _ProfileSmoothers(Grid(points), [bandwidth])
+    return smoothers.matrix(*smoothers.weights(0))
+
+
+def library_local_linear_matrix(points, bandwidth):
+    """The smoother matrix of the builder the library picks for the grid."""
+    return _smoother(Grid(points), bandwidth)
 
 
 def smooth_reference(grid, y, bandwidth):
     """Per-curve matrix-vector smoother: the first GCV minimizer wins."""
     if bandwidth != "auto":
-        return local_linear_matrix(grid.points, bandwidth) @ y
+        return library_local_linear_matrix(grid.points, bandwidth) @ y
     best, best_score = None, np.inf
     for cand in gcv_bandwidth_candidates(grid):
-        s = local_linear_matrix(grid.points, cand)
+        s = library_local_linear_matrix(grid.points, cand)
         resid = y - s @ y
         df = y.size - np.trace(s)
         score = y.size * (resid @ resid) / df**2 if df >= 1e-8 else np.inf
@@ -196,6 +208,25 @@ class TestSqNorm:
         assert inner_product(two, two) == pytest.approx(40.0, abs=1e-10)
 
 
+def gcv_peak(grid) -> int:
+    """The tracemalloc peak of a GCV smooth of 1000 rows on ``grid``."""
+    values = np.vstack([noisy_rows(grid, 8)] * 25)
+    tracemalloc.start()
+    try:
+        smooth_rows(grid, values, "auto")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def gcv_bound(grid, squares: int) -> int:
+    """The result, one row block's fits and residuals, ``squares`` d x d
+    arrays and 64 KiB, in bytes, for 1000 rows on ``grid``."""
+    block = kfpca.core._PAIR_TILE * grid.size * 8
+    return 1000 * grid.size * 8 + 2 * block + squares * grid.size**2 * 8 + 2**16
+
+
 class TestSmoothCurve:
     @pytest.mark.parametrize("bandwidth", [0.3, 1.0, 5.0, "auto"])
     def test_reproduces_linear_exactly(self, bandwidth):
@@ -271,23 +302,21 @@ class TestSmoothCurve:
         else:
             gap = np.abs(blocked - whole).max()
             assert gap <= g.size * np.finfo(float).eps * np.abs(rows).max()
-        assert np.array_equal(gcv_fit(local_linear_matrix, g, rows)[0], whole)
+        assert np.array_equal(gcv_fit(library_local_linear_matrix, g, rows)[0], whole)
 
     def test_gcv_holds_one_row_block_beside_its_result(self):
         g = make_regular_grid(0, 10, 51)
-        values = noisy_rows(g, 8)
-        values = np.vstack([values] * 25)  # 1000 x 51
-        tracemalloc.start()
-        try:
-            out = smooth_rows(g, values, "auto")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the result, the fits and residuals of one block, the three d x d
-        # smoother arrays, and 64 KiB for the best scores and small
-        # temporaries: a second or third N x d array (408 KB) does not fit
-        block = kfpca.core._PAIR_TILE * g.size * 8
-        assert peak <= out.nbytes + 2 * block + 3 * g.size**2 * 8 + 2**16
+        # the result, the fits and residuals of one block, the one d x d
+        # smoother, and 64 KiB for the best scores, the candidates'
+        # profiles and small temporaries: a second or third N x d array
+        # (408 KB) does not fit
+        assert gcv_peak(g) <= gcv_bound(g, 1)
+
+    def test_gcv_on_an_irregular_grid_holds_three_d_by_d_arrays(self):
+        # the dense builder adds the grid differences and a work array
+        g = Grid(np.sort(derive_rng(12, 0).uniform(0, 10, 51)))
+        assert not g.regular
+        assert gcv_peak(g) <= gcv_bound(g, 3)
 
     # True used to smooth with bandwidth 1.0
     @pytest.mark.parametrize(
@@ -315,6 +344,30 @@ def unflushed_local_linear_matrix(points, bandwidth):
     a = np.where(bad, 1.0, s2) / denom
     b = np.where(bad, 0.0, s1) / denom
     return a[:, None] * k - b[:, None] * kdt
+
+
+def unflushed_profile_local_linear_matrix(points, bandwidth):
+    """The library's profile form (``_ProfileSmoothers``) with a plain exp
+    and no floor, so that its subnormal weights are kept."""
+    d = len(points)
+    offsets = np.arange(1 - d, d) * ((points[-1] - points[0]) / (d - 1))
+    u = offsets[d - 1 :]
+    g = np.exp((u / bandwidth) ** 2 * -0.5)
+    prefix = np.cumsum(g, dtype=np.longdouble)
+    s0 = (prefix + prefix[::-1] - 1.0).astype(float)
+    prefix = np.cumsum(g * u, dtype=np.longdouble)
+    s1 = (prefix[::-1] - prefix).astype(float)
+    prefix = np.cumsum(g * u * u, dtype=np.longdouble)
+    s2 = (prefix + prefix[::-1]).astype(float)
+    denom = s0 * s2 - s1 * s1
+    bad = denom <= np.finfo(float).tiny * np.maximum(s0 * s2, 1.0)
+    denom = np.where(bad, s0, denom)
+    a = np.where(bad, 1.0, s2) / denom
+    b = np.where(bad, 0.0, s1) / denom
+    # entry (i, j) reads offset and profile m = j - i, at index d - 1 + m
+    m = d - 1 + np.arange(d)[None, :] - np.arange(d)[:, None]
+    profile = np.concatenate((g[:0:-1], g))
+    return (a[:, None] - b[:, None] * offsets[m]) * profile[m]
 
 
 def count_subnormal(s) -> int:
@@ -360,14 +413,17 @@ class TestLocalLinearMatrix:
             assert np.allclose(s @ line, line, rtol=0, atol=1e-9)
 
     def test_trace_is_returned_with_the_matrix(self):
-        grid = SMOOTHER_GRIDS[-1]
-        dt = grid.points[None, :] - grid.points[:, None]
-        k, s = np.empty_like(dt), np.empty_like(dt)
-        for cand in gcv_bandwidth_candidates(grid):
-            assert _local_linear_matrix(dt, cand, k, s) == np.trace(s)
+        # GCV reads tr(S) as sum(a), whichever builder the grid takes
+        for grid in (SMOOTHER_GRIDS[-1], SMOOTHER_GRIDS[1]):
+            smoothers = kfpca.core._smoothers(grid, gcv_bandwidth_candidates(grid))
+            for i in range(GCV_CANDIDATE_COUNT):
+                a, b = smoothers.weights(i)
+                assert float(a.sum()) == np.trace(smoothers.matrix(a, b))
 
     def test_gcv_fit_matches_the_unflushed_loop_bit_for_bit(self):
-        grid = make_regular_grid(0, 10, 101)
+        # the dense builder, on an irregular grid
+        grid = Grid(np.sort(derive_rng(13, 0).uniform(0, 10, 101)))
+        assert not grid.regular
         values = noisy_rows(grid, 2024)
         subnormal = sum(
             count_subnormal(unflushed_local_linear_matrix(grid.points, cand))
@@ -375,6 +431,18 @@ class TestLocalLinearMatrix:
         )
         assert subnormal > 0
         out, _ = gcv_fit(unflushed_local_linear_matrix, grid, values)
+        assert np.array_equal(smooth_rows(grid, values, "auto"), out)
+
+    def test_profile_gcv_fit_matches_the_unflushed_profile_loop_bit_for_bit(self):
+        grid = make_regular_grid(0, 10, 101)
+        assert grid.regular
+        values = noisy_rows(grid, 2024)
+        subnormal = sum(
+            count_subnormal(unflushed_profile_local_linear_matrix(grid.points, cand))
+            for cand in gcv_bandwidth_candidates(grid)
+        )
+        assert subnormal > 0
+        out, _ = gcv_fit(unflushed_profile_local_linear_matrix, grid, values)
         assert np.array_equal(smooth_rows(grid, values, "auto"), out)
 
     @pytest.mark.parametrize(
@@ -385,7 +453,7 @@ class TestLocalLinearMatrix:
         + [f"case{c}-{dist}" for c in CASES for dist in DISTRIBUTIONS],
     )
     def test_same_gcv_picks_and_fits_as_the_numerator_form(self, grid, values):
-        _, picks = gcv_fit(local_linear_matrix, grid, values)
+        _, picks = gcv_fit(library_local_linear_matrix, grid, values)
         reference, reference_picks = gcv_fit(numerator_local_linear_matrix, grid, values)
         assert np.array_equal(picks, reference_picks)
         gap = np.abs(smooth_rows(grid, values, "auto") - reference).max(axis=1)
@@ -430,6 +498,111 @@ class TestLocalLinearAccuracy:
         note(f"d={grid.size} distance {float(np.sqrt(distance)):.3e} "
              f"reference {float(np.sqrt(reference)):.3e}")
         assert np.sqrt(distance) <= 2 * np.sqrt(reference)
+
+
+@st.composite
+def regular_grids_and_bandwidths(draw):
+    """An equally spaced grid of 4 to 500 points over a span from 1e-3 to
+    1e3, from 0, -span/2 or span, and bandwidths from its GCV range: the
+    20 candidates and one drawn between the end points."""
+    d = draw(st.integers(4, 500))
+    span = 10.0 ** draw(st.floats(-3.0, 3.0))
+    start = draw(st.sampled_from([0.0, -0.5, 1.0])) * span
+    grid = Grid(np.linspace(start, start + span, d))
+    cands = gcv_bandwidth_candidates(grid)
+    share = draw(st.floats(0.0, 1.0))
+    return grid, [*cands, float(cands[0] * (cands[-1] / cands[0]) ** share)]
+
+
+# the profile smoother's greatest distance from the dense one, in eps d of
+# the largest entry: 1.73 was the most over 300 random equally spaced grids
+PROFILE_TOLERANCE = 4.0
+
+
+class TestProfileSmoother:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(grid_and_bandwidths=regular_grids_and_bandwidths())
+    def test_matches_the_dense_builder(self, grid_and_bandwidths):
+        grid, bandwidths = grid_and_bandwidths
+        assert grid.regular
+        pts = grid.points
+        line = 2.0 * pts - 3.0
+        eps = np.finfo(float).eps
+        for bandwidth in bandwidths:
+            s = profile_local_linear_matrix(pts, bandwidth)
+            dense = local_linear_matrix(pts, bandwidth)
+            gap = np.abs(s - dense).max()
+            assert gap <= PROFILE_TOLERANCE * eps * grid.size * np.abs(dense).max()
+            assert count_subnormal(s) == 0
+            assert np.abs(s.sum(axis=1) - 1.0).max() <= 1e-12
+            assert np.abs(s @ line - line).max() <= 1e-9 * np.abs(line).max()
+
+    # the oracle takes about 0.2 s a bandwidth at d = 500
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(grid_and_bandwidths=regular_grids_and_bandwidths())
+    def test_against_an_extended_precision_oracle(self, grid_and_bandwidths):
+        # Each builder against the exact smoother of the differences it
+        # smooths on, pooled over the bandwidths as in
+        # TestLocalLinearAccuracy: the dense one on the points', the
+        # profile one on the multiples m spacing (exact in longdouble for
+        # m < 2^11).  The two exact smoothers differ by the points'
+        # rounding, eps |t| a point, which the dense-builder tolerance
+        # above bounds.
+        grid, bandwidths = grid_and_bandwidths
+        pts = grid.points
+        equal = pts[0] + np.arange(grid.size, dtype=np.longdouble) * np.longdouble(grid.spacing)
+        distance = reference = 0.0
+        for bandwidth in bandwidths:
+            oracle = longdouble_local_linear_matrix(equal, bandwidth)
+            distance += np.sum((profile_local_linear_matrix(pts, bandwidth) - oracle) ** 2)
+            oracle = longdouble_local_linear_matrix(pts, bandwidth)
+            reference += np.sum((local_linear_matrix(pts, bandwidth) - oracle) ** 2)
+        note(f"d={grid.size} distance {float(np.sqrt(distance)):.3e} "
+             f"dense {float(np.sqrt(reference)):.3e}")
+        assert np.sqrt(distance) <= 2 * np.sqrt(reference)
+
+    @pytest.mark.parametrize("d", [4, 51, 101, 401])
+    def test_fit_without_a_matrix_is_the_matrix_times_the_row(self, d):
+        # the eigen-smoothing scan's correlations against S y
+        grid = make_regular_grid(0, 10, d)
+        y = noisy_rows(grid, 2026)[1]
+        smoothers = _ProfileSmoothers(grid, gcv_bandwidth_candidates(grid))
+        for i in range(GCV_CANDIDATE_COUNT):
+            a, b = smoothers.weights(i)
+            expected = smoothers.matrix(a, b) @ y
+            gap = np.abs(smoothers.fit(a, b, y) - expected).max()
+            assert gap <= 8 * np.finfo(float).eps * d * np.abs(y).max()
+
+    def test_regularity_rule(self):
+        eps = np.finfo(float).eps
+        for d in (2, 3, 51, 101, 1441):
+            assert make_regular_grid(0, 10, d).regular
+        points = np.linspace(0.0, 10.0, 101)
+        # one point moved by 2 eps span stays within 4 eps span of the mean
+        # gap on both sides, by 5 eps span it does not
+        for shift, regular in ((2.0, True), (5.0, False)):
+            moved = points.copy()
+            moved[40] += shift * eps * 10.0
+            assert Grid(moved).regular is regular
+        # its points round to multiples of eps 1e6, a gap of 2e-10 in 10
+        assert not Grid(np.linspace(1e6, 1e6 + 10, 101)).regular
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_an_irregular_grid_takes_the_dense_builder(self, offset):
+        points = offset + np.linspace(0.0, 10.0, 101)
+        if offset == 0.0:
+            points[40] += 5.0 * np.finfo(float).eps * 10.0
+        grid = Grid(points)
+        assert not grid.regular
+        assert isinstance(kfpca.core._smoothers(grid, [1.0]), _DenseSmoothers)
+        values = noisy_rows(grid, 2025)
+        # the dense builder is the one smoothers had before profiles, so
+        # the GCV loop over its matrices gives the smooth bit for bit
+        out, _ = gcv_fit(local_linear_matrix, grid, values)
+        assert np.array_equal(smooth_rows(grid, values, "auto"), out)
+        assert np.array_equal(
+            smooth_rows(grid, values, 0.7), values @ local_linear_matrix(points, 0.7).T
+        )
 
 
 class TestTypes:

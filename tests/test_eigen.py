@@ -279,16 +279,32 @@ class TestKernelSmoothing:
 
     def test_auto_assembles_one_smoother(self, monkeypatch):
         calls = []
-        assemble = kfpca.core._assemble_smoother
 
-        def counting(*args):
-            calls.append(1)
-            return assemble(*args)
+        def counting(builder, assemble):
+            def wrapped(*args):
+                calls.append(builder)
+                return assemble(*args)
 
-        monkeypatch.setattr(kfpca.core, "_assemble_smoother", counting)
-        smooth_kernel(kendall_tau_hat(noisy_sample(n=80, seed=7)), "auto")
+            return wrapped
+
+        # the builder of equally spaced grids, and the dense one's assembly
+        matrix = kfpca.core._ProfileSmoothers.matrix
+        monkeypatch.setattr(kfpca.core._ProfileSmoothers, "matrix", counting("profile", matrix))
+        dense = counting("dense", kfpca.core._assemble_smoother)
+        monkeypatch.setattr(kfpca.core, "_assemble_smoother", dense)
+        sample = noisy_sample(n=80, seed=7)
+        assert sample.grid.regular
+        smooth_kernel(kendall_tau_hat(sample), "auto")
         # the one at the pick; the 20 candidates are scored without one
-        assert len(calls) == 1
+        assert calls == ["profile"]
+        # and on an irregular grid, by the dense builder
+        calls.clear()
+        points = sample.grid.points.copy()
+        points[25] += 1e-3
+        irregular = FunctionalSample(Grid(points), sample.values)
+        assert not irregular.grid.regular
+        smooth_kernel(kendall_tau_hat(irregular), "auto")
+        assert calls == ["dense"]
 
     @pytest.mark.parametrize("method", ["kfpca", "cov"])
     def test_auto_is_the_gcv_bandwidth_of_the_leading_eigenfunction(self, method):

@@ -6,6 +6,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import scipy.linalg
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from kfpca import (
     ConfigurationError,
     EstimationError,
     FunctionalSample,
+    Grid,
     InputError,
     SimulationScenario,
     bootstrap_mean_band,
@@ -26,7 +28,7 @@ from kfpca import (
     make_regular_grid,
     mean_hat,
 )
-from kfpca.estimators import _centered, smooth_kernel
+from kfpca.estimators import DiscretizedKernel, _centered, smooth_kernel
 
 
 def gaussian_case1_sample(n, seed=0, run=0):
@@ -673,6 +675,40 @@ class TestLeadingEigenvectors:
         assert traced_peak(lambda: kernel.eigenfunctions(k)) <= 0.25 * 8 * d * d
 
 
+class TestKernelReduction:
+    @pytest.mark.parametrize("d", [51, 256, 257, 401])
+    def test_strips_give_the_one_pass_reduction_bit_for_bit(self, d):
+        # past _PAIR_TILE rows the checks, the symmetrization and the move
+        # of the kept reflections work in strips, which round as one pass
+        rng = derive_rng(90, d)
+        x = rng.standard_normal((d, 12))
+        m = x @ x.T + 1e-12 * rng.standard_normal((d, d))
+        grid = Grid(np.sort(rng.uniform(0, 1, d)))
+        kernel = DiscretizedKernel(grid, m)
+        sqrt_w = np.sqrt(grid.weights)
+        sym = sqrt_w[:, None] * m * sqrt_w[None, :]
+        sym = (sym + sym.T) / 2.0
+        lwork, _ = scipy.linalg.lapack.dsytrd_lwork(d, lower=1)
+        a, diag, off, tau, _ = scipy.linalg.lapack.dsytrd(sym.T, lower=1, lwork=int(lwork))
+        reflectors = np.asfortranarray(a[1:, :-1])
+        np.fill_diagonal(reflectors, 1.0)
+        assert kernel._reflectors.flags.f_contiguous
+        for name, expected in (
+            ("_diagonal", diag), ("_off_diagonal", off), ("_tau", tau),
+            ("_reflectors", reflectors),
+            ("eigenvalues", scipy.linalg.lapack.dsterf(diag, off)[0][::-1]),
+        ):
+            assert np.array_equal(getattr(kernel, name), expected), name
+
+    def test_asymmetry_in_a_later_strip_is_rejected(self):
+        d = 300
+        x = derive_rng(92, 0).standard_normal((d, 5))
+        m = x @ x.T
+        m[250, 280] += 1e-6
+        with pytest.raises(InputError, match="not symmetric"):
+            DiscretizedKernel(make_regular_grid(0, 1, d), m)
+
+
 class TestKernelMemory:
     """Peaks in d x d float arrays at the shape N = 200, d = 401."""
 
@@ -683,15 +719,27 @@ class TestKernelMemory:
 
     def test_kendall_frees_its_pair_sum_before_the_reduction(self):
         sample = skew_t_sample(200, self.d)
-        # the kernel matrix, the reduced copy dsytrd overwrites and the
-        # kept block of reflections, and the pair sum's tiles
-        assert self.peak(lambda: kendall_tau_hat(sample)) <= 3.2
+        # the kernel matrix and the reduced copy dsytrd overwrites, whose
+        # kept block of reflections is moved within it, and strip-sized
+        # temporaries; before, the pair sum's d x d result beside the matrix
+        assert self.peak(lambda: kendall_tau_hat(sample)) <= 2.2
 
     @pytest.mark.parametrize("bandwidth", ["auto", 0.5])
     def test_smoothing_lets_the_estimate_go(self, bandwidth):
         sample = skew_t_sample(200, self.d)
-        # M beside the grid differences, the smoother and its work space;
+        assert sample.grid.regular
+        # M, the smoother and S M (or P), built from the smoother's profile;
         # the estimate's reflections are gone by then
+        assert self.peak(lambda: smooth_kernel(kendall_tau_hat(sample), bandwidth)) <= 3.1
+
+    @pytest.mark.parametrize("bandwidth", ["auto", 0.5])
+    def test_smoothing_on_an_irregular_grid_holds_the_dense_builder(self, bandwidth):
+        sample = skew_t_sample(200, self.d)
+        points = sample.grid.points.copy()
+        points[200] += 1e-3
+        sample = FunctionalSample(Grid(points), sample.values)
+        assert not sample.grid.regular
+        # M beside the grid differences, the smoother and its work space
         assert self.peak(lambda: smooth_kernel(kendall_tau_hat(sample), bandwidth)) <= 4.3
 
 
