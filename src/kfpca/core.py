@@ -7,11 +7,13 @@ weighted dot product and is exact whenever the integrand is piecewise
 linear between grid points.
 """
 
+import functools
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import lapack
 
 from .errors import ConfigurationError, DimensionError, EstimationError, InputError
 
@@ -104,6 +106,12 @@ def _check_bandwidth(name: str, value) -> float | str:
     return float(value)
 
 
+def _lapack_info(routine: str, info: int) -> None:
+    """Raise EstimationError for a nonzero LAPACK ``info``."""
+    if info:
+        raise EstimationError(f"LAPACK {routine} failed (info {info})")
+
+
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Create an independent generator keyed on (seed, *key).
 
@@ -125,7 +133,14 @@ class Grid:
     spaced: ``regular`` when every gap lies within 4 eps span of the mean
     gap span/(d - 1).  ``linspace`` grids from 0, and CSV headers written
     from them, stay within 1 eps span; ``linspace(1e6, 1e6 + 10)`` does
-    not, as its points round to multiples of eps 1e6."""
+    not, as its points round to multiples of eps 1e6.
+
+    Three more constants of the grid are computed on first use and kept,
+    read-only, for every kernel on it (``estimators.DiscretizedKernel``):
+    ``sqrt_weights``, W^{1/2}; ``_dsytrd_lwork``, the workspace size LAPACK
+    dsytrd asks for at d; and ``_one_block``, dstein's block indices for a
+    d x d tridiagonal matrix taken as one block.  A pickled or copied grid
+    does not carry them, and builds its own on first use."""
 
     points: np.ndarray
     weights: np.ndarray = field(init=False)
@@ -167,6 +182,27 @@ class Grid:
     def spacing(self) -> float:
         """Mean distance between neighbouring points."""
         return self.span / (self.size - 1)
+
+    @functools.cached_property
+    def sqrt_weights(self) -> np.ndarray:
+        """The square roots of the quadrature weights."""
+        return _readonly(np.sqrt(self.weights))
+
+    @functools.cached_property
+    def _dsytrd_lwork(self) -> int:
+        lwork, info = lapack.dsytrd_lwork(self.size, lower=1)
+        _lapack_info("dsytrd_lwork", info)
+        return int(lwork)
+
+    @functools.cached_property
+    def _one_block(self) -> tuple[np.ndarray, np.ndarray]:
+        """dstein's iblock (all 1) and isplit (isplit[0] = d)."""
+        d = self.size
+        return _readonly(np.ones(d, np.int32)), _readonly(np.full(d, d, np.int32))
+
+    def __getstate__(self):
+        # the cached values are left out: unpickled arrays are writable
+        return {name: self.__dict__[name] for name in ("points", "weights", "regular")}
 
     def matches(self, other: "Grid") -> bool:
         return other is self or (
@@ -313,7 +349,10 @@ class _DenseSmoothers:
     ``weights(i)`` returns bandwidth i's row coefficients a and b, whose sum
     is the smoother's trace, and makes i the bandwidth that ``matrix(a, b)``
     (S, in a buffer reused for every bandwidth) and ``fit(a, b, y)`` (S y,
-    without S) use.  ``_ProfileSmoothers`` has the same three methods.
+    without S) use.  ``_ProfileSmoothers`` has the same three methods.  The
+    d x d passes run with numpy's ufunc buffer at 16 elements, as
+    ``_ProfileSmoothers.matrix`` runs them, so a broadcast operand such as
+    ``a[:, None]`` costs no 64 KiB buffer.
     """
 
     def __init__(self, grid: Grid, bandwidths):
@@ -324,10 +363,13 @@ class _DenseSmoothers:
 
     def weights(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(over="ignore"):
+            np.setbufsize(16)
             return _smoother_weights(self.dt, self.bandwidths[i], self.floor, self.k, self.s)
 
     def matrix(self, a, b) -> np.ndarray:
-        _assemble_smoother(a, b, self.k, self.s)
+        with np.errstate():
+            np.setbufsize(16)
+            _assemble_smoother(a, b, self.k, self.s)
         return self.s
 
     def fit(self, a, b, y) -> np.ndarray:

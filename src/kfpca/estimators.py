@@ -7,6 +7,7 @@ a symmetric positive semidefinite matrix on the sample's grid, as does
 ``smooth_kernel``, which smooths such a kernel surface on both axes.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -22,7 +23,9 @@ from .core import (
     _check_count,
     _frozen_array,
     _gcv_bandwidth,
+    _lapack_info,
     _readonly,
+    _require_same_grid,
     _smoother,
     derive_rng,
 )
@@ -69,8 +72,10 @@ class DiscretizedKernel:
     ``_STRIP`` rows, so their temporaries are a strip's size, and at
     N = 200, d = 401 ``kendall_tau_hat`` peaks at 2.16 d x d arrays.  Up
     to ``_PAIR_TILE`` rows each of those steps makes one d x d temporary,
-    in as few numpy calls as one pass can, as the scale check does at
-    any d.
+    in as few numpy calls as one pass can.  The finiteness and scale check
+    reads M's largest and least entries, with no temporary.  W^{1/2},
+    dsytrd's workspace size and dstein's block indices are constants of
+    the grid, computed once for every kernel on it (``Grid``).
     """
 
     grid: Grid
@@ -93,21 +98,20 @@ class DiscretizedKernel:
         m, d = self.matrix, self.grid.size
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != d:
             raise InputError("kernel matrix must be d x d for the grid's d")
-        scale = float(np.abs(m).max())
-        if not np.isfinite(scale):  # a NaN or infinite entry makes the max one
+        # max |m| is max(max m, -min m); a NaN entry makes both NaN
+        top, bottom = float(m.max()), float(m.min())
+        if not (math.isfinite(top) and math.isfinite(bottom)):
             raise InputError("kernel matrix must be finite")
-        if _asymmetry(m) > SYMMETRY_RTOL * max(scale, 1e-300):
+        if _asymmetry(m) > SYMMETRY_RTOL * max(top, -bottom, 1e-300):
             raise InputError("kernel matrix is not symmetric")
-        sqrt_w = np.sqrt(self.grid.weights)
+        sqrt_w = self.grid.sqrt_weights
         sym = sqrt_w[:, None] * m
         sym *= sqrt_w
         _symmetrize(sym)
         # sym is exactly symmetric, so its transpose is the same matrix in
         # the Fortran order that dsytrd overwrites without a copy
-        lwork, info = lapack.dsytrd_lwork(d, lower=1)
-        _lapack_info("dsytrd_lwork", info)
         reflectors, diag, off, tau, info = lapack.dsytrd(
-            sym.T, lower=1, lwork=int(lwork), overwrite_a=1
+            sym.T, lower=1, lwork=self.grid._dsytrd_lwork, overwrite_a=1
         )
         _lapack_info("dsytrd", info)
         del sym
@@ -164,10 +168,9 @@ class DiscretizedKernel:
             raise ConfigurationError(f"n_components must lie in [1, {d}], got {k}")
         diag, off = self._diagonal, self._off_diagonal
         if 5 * k <= d and k <= 32:
-            # the k leading stored eigenvalues, ascending, for T as one
-            # block: iblock all 1, isplit[0] = d
-            one_block = np.ones(d, np.int32), np.full(d, d, np.int32)
-            z, info = lapack.dstein(diag, off, self.eigenvalues[k - 1 :: -1], *one_block)
+            # the k leading stored eigenvalues, ascending, for T as one block
+            w = self.eigenvalues[k - 1 :: -1]
+            z, info = lapack.dstein(diag, off, w, *self.grid._one_block)
             _lapack_info("dstein", info)
             z = z[:, ::-1]
             # k short columns: the unblocked reflector loop is fastest
@@ -184,17 +187,20 @@ class DiscretizedKernel:
         q_z, _, info = lapack.dormqr("L", "N", self._reflectors, self._tau, z[1:], lwork)
         _lapack_info("dormqr", info)
         out[:, 1:] = q_z.T
-        out /= np.sqrt(self.grid.weights)
+        out /= self.grid.sqrt_weights
         return _apply_sign_convention(out, self.grid.weights)
 
 
 def _asymmetry(m: np.ndarray) -> float:
-    """max |m - m^T|; beyond ``_PAIR_TILE`` rows in strips of ``_STRIP``
-    rows, whose temporaries are a strip's size."""
+    """max |m - m^T| of a finite square ``m``, read as max(m - m^T): the
+    difference is exactly antisymmetric (a - b is -(b - a) in floating
+    point), so its largest entry is its largest magnitude.  Beyond
+    ``_PAIR_TILE`` rows in strips of ``_STRIP`` rows, whose temporaries are
+    a strip's size; the strips together hold every entry."""
     d = len(m)
     if d <= _PAIR_TILE:
-        return float(np.abs(m - m.T).max())
-    return max(float(np.abs(m[i0 : i0 + _STRIP] - m[:, i0 : i0 + _STRIP].T).max())
+        return float((m - m.T).max())
+    return max(float((m[i0 : i0 + _STRIP] - m[:, i0 : i0 + _STRIP].T).max())
                for i0 in range(0, d, _STRIP))
 
 
@@ -240,17 +246,16 @@ def _kept_reflectors(a: np.ndarray) -> np.ndarray:
 
 def _apply_sign_convention(phi: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Flip rows so each weighted integral is non-negative; a row whose
-    integral is essentially zero gets its first nonzero value positive."""
+    integral is essentially zero gets its first nonzero value positive.
+    The first nonzero values are read only when some integral is that
+    small."""
     s = phi @ weights
-    first = phi[np.arange(phi.shape[0]), np.argmax(phi != 0, axis=1)]
-    flip = np.where(np.abs(s) > SIGN_TIE_ATOL, s < 0, first < 0)
-    return np.where(flip[:, None], -phi, phi)
-
-
-def _lapack_info(routine: str, info: int) -> None:
-    """Raise EstimationError for a nonzero LAPACK ``info``."""
-    if info:
-        raise EstimationError(f"LAPACK {routine} failed (info {info})")
+    tie = ~(np.abs(s) > SIGN_TIE_ATOL)
+    if tie.any():
+        first = phi[np.arange(phi.shape[0]), np.argmax(phi != 0, axis=1)]
+        s = np.where(tie, first, s)
+    # times -1 or 1 negates or keeps each finite value, bit for bit
+    return phi * np.where(s < 0, -1.0, 1.0)[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,17 +274,31 @@ def mean_hat(sample: FunctionalSample) -> Curve:
     return Curve(sample.grid, _readonly(sample.values.mean(axis=0)))
 
 
-def _centered(sample: FunctionalSample) -> tuple[np.ndarray, np.ndarray, float]:
-    """The column mean mu, the length-N vector q of the centered curves'
-    weighted squared norms |X_i - mu|^2_w, and the mean pairwise squared
-    norm.  Differences X_i - X_j do not see the centering, and after it the
-    cross terms of sum_{i<j} |X_i - X_j|^2 vanish, leaving n sum(q);
+def _column_mean(sample: FunctionalSample, mean: Curve | None) -> np.ndarray:
+    """The sample's column mean: the values of ``mean``, which a caller
+    that has ``mean_hat(sample)`` passes so that the mean is taken once,
+    and otherwise computed as ``mean_hat`` computes it.  DimensionError if
+    ``mean`` is on another grid."""
+    if mean is None:
+        return sample.values.mean(axis=0)
+    _require_same_grid(mean.grid, sample.grid)
+    return mean.values
+
+
+def _centered(
+    sample: FunctionalSample, mean: Curve | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The column mean mu (``_column_mean``), the length-N vector q of the
+    centered curves' weighted squared norms |X_i - mu|^2_w, and the mean
+    pairwise squared norm.  Differences X_i - X_j do not see the
+    centering, and after it the cross terms of sum_{i<j} |X_i - X_j|^2
+    vanish, leaving n sum(q);
     centering first also keeps the Gram identity free of cancellation when
     the curves sit far from zero.  q is computed ``_PAIR_TILE`` rows at a
     time, so no N x d centered copy is made."""
     x, w = sample.values, sample.grid.weights
     n, d = x.shape
-    mu = x.mean(axis=0)
+    mu = _column_mean(sample, mean)
     q = np.empty(n)
     block = np.empty((min(_PAIR_TILE, n), d))
     for i0 in range(0, n, _PAIR_TILE):
@@ -289,7 +308,7 @@ def _centered(sample: FunctionalSample) -> tuple[np.ndarray, np.ndarray, float]:
     return mu, q, 2.0 * float(q.sum()) / (n - 1)
 
 
-def kendall_tau_hat(sample: FunctionalSample) -> DiscretizedKernel:
+def kendall_tau_hat(sample: FunctionalSample, mean: Curve | None = None) -> DiscretizedKernel:
     """Pairwise spatial-sign kernel estimate.
 
     Each unordered pair of distinct curves contributes the outer product of
@@ -310,6 +329,9 @@ def kendall_tau_hat(sample: FunctionalSample) -> DiscretizedKernel:
     ----------
     sample : FunctionalSample
         At least two curves on a shared grid.
+    mean : Curve, optional
+        ``mean_hat(sample)``, if the caller has it; the column mean is
+        computed otherwise.
 
     Raises
     ------
@@ -317,7 +339,7 @@ def kendall_tau_hat(sample: FunctionalSample) -> DiscretizedKernel:
         Every pair degenerate (e.g. all curves identical), or the weighted
         trace off one by more than ``TRACE_ATOL``.
     """
-    mu, q, mean_sq_norm = _centered(sample)
+    mu, q, mean_sq_norm = _centered(sample, mean)
     accum, ordered_retained = _pair_sum(
         sample.values, mu, q, sample.grid.weights, DEGENERATE_TOL * mean_sq_norm
     )
@@ -361,18 +383,22 @@ def _pair_sum(
 
     The N x N pair matrix is walked in square tiles of edge ``_PAIR_TILE``,
     only those on or above the diagonal, and within a diagonal tile only
-    j > i, so each unordered pair is visited once.  Rows are centered one
-    tile at a time into one tile-sized rhs, which after a row block's last
-    (diagonal) tile holds X_I.  Beyond ``x`` and ``q`` the sum holds one
-    length-N vector, the d x d result and tile-sized arrays: lhs, rhs,
-    one tile of inverse norms, the triangle mask of the diagonal tiles
-    and T_I.  A row block's first tile, the last column block, creates T_I
-    as its product, once that tile's drop mask is gone, and the first row
-    block's X_I^T T_I becomes the result, so up to ``_PAIR_TILE`` curves
-    make no d x d or tile-sized temporary.  The last row block meets only
-    its diagonal tile: lhs and the triangle mask go after its Gram
-    product, and the tile of inverse norms after its T_I product, so its
-    X_I^T T_I is formed beside rhs and T_I alone.
+    j > i, so each unordered pair is visited once: a diagonal tile's
+    triangle mask joins its drop mask.  Rows are centered one tile at a
+    time into one tile-sized rhs, which after a row block's last (diagonal)
+    tile holds X_I.  The rounding floor max(threshold, (d + 2) eps
+    (q_i + q_j)) is formed only on tiles where it can pass the threshold,
+    in one tile buffer made the first time.  Beyond ``x`` and ``q`` the sum
+    holds one length-N vector, the d x d result and tile-sized arrays: lhs,
+    rhs, one tile of inverse norms, the floor buffer if a tile needed it,
+    the triangle mask of the diagonal tiles and T_I.  A row block's first
+    tile, the last column block, creates T_I as its product, once that
+    tile's drop mask is gone, and the first row block's X_I^T T_I becomes
+    the result, so up to ``_PAIR_TILE`` curves make no d x d or tile-sized
+    temporary.  The last row block meets only its diagonal tile: lhs goes
+    after its Gram product, the triangle mask once merged into its drop
+    mask, and the tiles of inverse norms and floors after its T_I product,
+    so its X_I^T T_I is formed beside rhs and T_I alone.
     """
     n, d = x.shape
     # the GEMM's rounding error is bounded by d + 2 ulps of q_i + q_j: a
@@ -402,6 +428,7 @@ def _pair_sum(
 
     # one tile's inverse norms, reused so that two tiles are never alive
     scratch = np.empty(tile * tile)
+    floor = None  # one tile's rounding floor, made when a tile first needs it
     col_sums = np.zeros(n)
     retained = 0
     for i0 in range(0, n, tile):
@@ -419,15 +446,21 @@ def _pair_sum(
             right = rhs[:m] if i1 == n else load(j0, j1)
             inv = scratch[: m * (j1 - j0)].reshape(m, j1 - j0)
             np.matmul(left, right.T, out=inv)
-            if j0 == i0:
-                inv[on_or_below_diag[:m, :m]] = 0.0
-                if i1 == n:
-                    # that was the last diagonal tile and Gram product
-                    del on_or_below_diag, lhs, left
+            if i1 == n:
+                del lhs, left  # that was the last Gram product
             cut = threshold
             if ulps * (qi.max() + q[j0:j1].max()) > threshold:
-                cut = np.maximum(threshold, ulps * np.add.outer(qi, q[j0:j1]))
+                if floor is None:
+                    floor = np.empty(tile * tile)
+                cut = floor[: inv.size].reshape(inv.shape)
+                np.add.outer(qi, q[j0:j1], out=cut)
+                cut *= ulps
+                np.maximum(cut, threshold, out=cut)
             drop = inv <= cut
+            if j0 == i0:
+                np.logical_or(drop, on_or_below_diag[:m, :m], out=drop)
+                if i1 == n:
+                    del on_or_below_diag  # that was the last diagonal tile
             inv[drop] = np.inf
             retained += drop.size - np.count_nonzero(drop)
             del drop  # a tile-sized mask, not kept beside the product below
@@ -443,7 +476,7 @@ def _pair_sum(
             else:
                 t += inv @ right[:, : d + 1]
         if i1 == n:
-            del scratch, inv  # that was the last T_I product
+            del scratch, inv, floor, cut  # that was the last T_I product
         if i0 == 0:
             accum = right[:, :d].T @ t[:, :d]
         else:
@@ -453,8 +486,9 @@ def _pair_sum(
     return accum, 2 * retained
 
 
-def covariance_hat(sample: FunctionalSample) -> DiscretizedKernel:
-    """Sample covariance matrix across subjects (divisor N - 1).
+def covariance_hat(sample: FunctionalSample, mean: Curve | None = None) -> DiscretizedKernel:
+    """Sample covariance matrix across subjects (divisor N - 1); ``mean``
+    is ``mean_hat(sample)`` if the caller has it (``_column_mean``).
 
     The centered curves are summed as X_I^T X_I over ``_PAIR_TILE``-row
     blocks I, so beyond the sample the estimate holds one block of centered
@@ -464,7 +498,7 @@ def covariance_hat(sample: FunctionalSample) -> DiscretizedKernel:
     """
     x = sample.values
     n, d = x.shape
-    mu = x.mean(axis=0)
+    mu = _column_mean(sample, mean)
     block = np.empty((min(_PAIR_TILE, n), d))
     cov = np.zeros((d, d))
     for i0 in range(0, n, _PAIR_TILE):

@@ -11,6 +11,7 @@ run's ``TruthBundle`` carries.  ``imse`` scores one Curve against another.
 
 import dataclasses
 import functools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -30,7 +31,9 @@ RATE_REFERENCE_FACTOR = 20
 
 @dataclass(frozen=True, eq=False)
 class RunMetrics:
-    """Per-run estimation errors for one method on one scenario."""
+    """Per-run estimation errors for one method on one scenario.  The two
+    vectors are short, so they are checked as Python floats: a numpy
+    reduction costs more than the work on a few elements."""
 
     imse: np.ndarray
     mse: np.ndarray
@@ -45,9 +48,10 @@ class RunMetrics:
         object.__setattr__(self, "mse", mse)
         if imse.ndim != 1 or imse.shape != mse.shape:
             raise InputError("imse and mse must be vectors of equal length")
-        if not (np.all(np.isfinite(imse)) and np.all(np.isfinite(mse))):
+        values = imse.tolist() + mse.tolist()
+        if not all(map(math.isfinite, values)):
             raise InputError("metrics must be finite")
-        if np.any(imse < 0) or np.any(mse < 0):
+        if min(values, default=0.0) < 0:
             raise InputError("metrics must be non-negative")
 
 
@@ -87,17 +91,22 @@ def _aligned_imses(est: np.ndarray, truth: np.ndarray, weights: np.ndarray):
     """Alignment signs and integrated squared errors of the rows of two
     K x d arrays.  Row k's sign is +1 or -1, whichever makes its weighted
     inner product with truth[k] >= 0; a zero product keeps the input sign."""
-    signs = np.where(_weighted_dots(est * truth, weights) < 0, -1.0, 1.0)
-    diff = signs[:, None] * est - truth
-    return signs, _weighted_dots(diff * diff, weights)
+    diff = est * truth
+    signs = np.where(_weighted_dots(diff, weights) < 0, -1.0, 1.0)
+    np.multiply(est, signs[:, None], out=diff)
+    diff -= truth
+    diff *= diff
+    return signs, _weighted_dots(diff, weights)
 
 
 def _score_mses(est: np.ndarray, truth: np.ndarray, signs) -> np.ndarray:
     """Mean squared error of each column of two N x K score matrices, column
     k of the estimate times signs[k].  Each mean sums one contiguous row of
     the transposed squares, as np.mean of a 1-D array does; axis 0 would not."""
-    diff = est * signs - truth
-    return np.ascontiguousarray((diff * diff).T).mean(axis=1)
+    diff = est * signs
+    diff -= truth
+    diff *= diff
+    return np.ascontiguousarray(diff.T).mean(axis=1)
 
 
 def imse(estimated: Curve, truth: Curve) -> float:

@@ -264,9 +264,9 @@ def fit(sample: FunctionalSample, config: FitConfig) -> FpcaModel:
     mean = mean_hat(sample)
     estimate = kendall_tau_hat if config.method == KFPCA else covariance_hat
     if config.eigen_smooth is None:
-        kernel = estimate(sample)
+        kernel = estimate(sample, mean)
     else:
-        kernel = smooth_kernel(estimate(sample), config.eigen_smooth)
+        kernel = smooth_kernel(estimate(sample, mean), config.eigen_smooth)
 
     ev = kernel.eigenvalues
     k = _select_k(ev, config.n_components)

@@ -220,6 +220,9 @@ def generate(scenario: SimulationScenario, run_index: int) -> TruthBundle:
     Deterministic in (scenario.seed, run_index): scores and noise come
     from separate derived streams, so runs can execute in any order.  Every
     run of one scenario object shares its read-only grid and truth array.
+    The noise is drawn as standard normals, scaled and added to the signal
+    in place, in the one N x d array the sample keeps: the values are
+    those of ``normal(0, sigma, (N, d))`` plus the signal, bit for bit.
     """
     _check_index("run_index", run_index, scenario.runs)
     grid, basis = scenario._design
@@ -229,10 +232,13 @@ def generate(scenario: SimulationScenario, run_index: int) -> TruthBundle:
     scores = _draw_score_matrix(
         scenario.distribution, scenario.lambdas, scenario.n_subjects, score_rng
     )
-    noise = noise_rng.normal(
-        0.0, math.sqrt(scenario.sigma2), (scenario.n_subjects, scenario.n_points)
-    )
-    values = scores @ basis + noise
+    # normal(0, sigma, shape) is 0 + sigma z for these same standard
+    # normals z.  The 0 + only turns -0.0 into +0.0, as adding the signal
+    # does unless the signal is -0.0 too; the tests check the bits against
+    # normal() with zero variances, where that could occur
+    values = noise_rng.standard_normal((scenario.n_subjects, scenario.n_points))
+    values *= math.sqrt(scenario.sigma2)
+    values += scores @ basis
     return TruthBundle(
         sample=FunctionalSample(grid, _readonly(values)),
         true_scores=scores,

@@ -1,7 +1,10 @@
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
@@ -122,6 +125,52 @@ class TestMakeRegularGrid:
         # the points increase, but half the subnormal gap rounds to zero
         with pytest.raises(ConfigurationError, match="weights must be positive"):
             Grid([0.0, 5e-324])
+
+
+class TestGridConstants:
+    """The per-grid constants every kernel on a grid reads."""
+
+    def test_built_once_and_read_only(self):
+        g = Grid([0.0, 0.1, 1.0, 5.0, 5.5])
+        sqrt_w, (iblock, isplit) = g.sqrt_weights, g._one_block
+        assert np.array_equal(sqrt_w, np.sqrt(g.weights))
+        assert np.array_equal(iblock, np.ones(5)) and np.array_equal(isplit, np.full(5, 5))
+        assert iblock.dtype == isplit.dtype == np.int32
+        assert g._dsytrd_lwork == int(scipy.linalg.lapack.dsytrd_lwork(5, lower=1)[0])
+        for value in (sqrt_w, iblock, isplit):
+            assert not value.flags.writeable
+        assert g.sqrt_weights is sqrt_w and g._one_block[0] is iblock
+
+    def test_kernels_on_one_grid_query_the_workspace_once(self, monkeypatch):
+        query = scipy.linalg.lapack.dsytrd_lwork
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return query(*args, **kwargs)
+
+        monkeypatch.setattr(kfpca.core.lapack, "dsytrd_lwork", counting)
+        sample = generate(SimulationScenario(n_subjects=20, runs=2), 0).sample
+        for run in range(2):
+            fit(sample, FitConfig(method="cov", n_components=2))
+            fit(sample, FitConfig(n_components=2))
+        assert calls == [(sample.grid.size,)]
+
+    def test_a_failed_workspace_query_raises(self, monkeypatch):
+        monkeypatch.setattr(kfpca.core.lapack, "dsytrd_lwork", lambda d, lower: (1.0, -1))
+        with pytest.raises(EstimationError, match=r"LAPACK dsytrd_lwork failed \(info -1\)"):
+            make_regular_grid(0, 1, 4)._dsytrd_lwork
+
+    @pytest.mark.parametrize("clone", [lambda g: pickle.loads(pickle.dumps(g)), copy.copy],
+                             ids=["pickle", "copy"])
+    def test_a_copied_grid_builds_its_own(self, clone):
+        g = make_regular_grid(0, 1, 6)
+        g.sqrt_weights, g._one_block, g._dsytrd_lwork
+        c = clone(g)
+        assert set(vars(c)) == {"points", "weights", "regular"}
+        assert c.matches(g) and c.regular
+        assert np.array_equal(c.sqrt_weights, g.sqrt_weights)
+        assert c.sqrt_weights is not g.sqrt_weights and not c.sqrt_weights.flags.writeable
 
 
 class TestInnerProduct:
@@ -317,6 +366,24 @@ class TestSmoothCurve:
         g = Grid(np.sort(derive_rng(12, 0).uniform(0, 10, 51)))
         assert not g.regular
         assert gcv_peak(g) <= gcv_bound(g, 3)
+
+    def test_a_dense_smoother_allocates_no_ufunc_buffers(self):
+        # a jittered grid takes the dense builder, whose broadcast passes
+        # would each allocate numpy's default 64 KiB ufunc buffer, more
+        # than a d x d array at d = 101
+        points = np.linspace(0, 10, 101)
+        points[1:-1] += derive_rng(13, 0).uniform(-0.02, 0.02, 99)
+        g = Grid(points)
+        assert not g.regular
+        tracemalloc.start()
+        try:
+            _smoother(g, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the grid differences, the smoother, its work space and length-d
+        # vectors
+        assert peak <= 3 * g.size**2 * 8 + 16 * 1024
 
     # True used to smooth with bandwidth 1.0
     @pytest.mark.parametrize(

@@ -12,9 +12,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kfpca.estimators
+import kfpca.model
 
 from kfpca import (
     ConfigurationError,
+    DimensionError,
     EstimationError,
     FunctionalSample,
     Grid,
@@ -28,7 +30,7 @@ from kfpca import (
     make_regular_grid,
     mean_hat,
 )
-from kfpca.estimators import DiscretizedKernel, _centered, smooth_kernel
+from kfpca.estimators import SYMMETRY_RTOL, DiscretizedKernel, _centered, smooth_kernel
 
 
 def gaussian_case1_sample(n, seed=0, run=0):
@@ -319,6 +321,34 @@ class TestPairTiles:
         peak = traced_peak(lambda: kendall_tau_hat(sample))
         assert peak <= 8 * (n * n + n * (2 * d + 4)) + n * n + 32 * 1024
 
+    @staticmethod
+    def with_far_curve(sample, scale):
+        """``sample`` with curve 3 scaled by ``scale``: its centered squared
+        norm far above the mean puts (d + 2) eps (q_i + q_j), the rounding
+        floor, above the degenerate threshold on the tiles it meets."""
+        values = sample.values.copy()
+        values[3] *= scale
+        far = FunctionalSample(sample.grid, values)
+        _, q, mean_sq_norm = _centered(far)
+        floor = (sample.grid.size + 2) * np.finfo(float).eps * 2 * q.max()
+        assert floor > kfpca.estimators.DEGENERATE_TOL * mean_sq_norm
+        return far
+
+    def test_rounding_floor_tiles_match_pair_loop(self, monkeypatch):
+        # with 7-row tiles some tiles take the floor and some do not, and
+        # edge tiles read a corner of the floor buffer
+        sample = self.with_far_curve(gaussian_case1_sample(120, seed=84), 100.0)
+        self.assert_small_tiles_match(monkeypatch, sample, 120 * 119)
+
+    def test_one_tile_holds_one_floor_buffer(self):
+        n, d = 200, 101
+        sample = self.with_far_curve(skew_t_sample(n, d), 20.0)
+        # test_one_tile_frees_lhs_and_inverse_norms_before_the_result's
+        # bound and one tile of floors, filled in place: before, the floor
+        # max(threshold, ulps * outer(q_I, q_J)) took two tile temporaries
+        peak = traced_peak(lambda: kendall_tau_hat(sample))
+        assert peak <= 8 * (2 * n * n + n * (2 * d + 4)) + n * n + 32 * 1024
+
 
 @st.composite
 def samples_with_duplicates(draw):
@@ -401,6 +431,38 @@ class TestAffineInvarianceProperty:
         g0 = a**2 * covariance_hat(sample).matrix
         g1 = covariance_hat(moved).matrix
         assert self.relative_error(g1, g0) <= self.tolerance(sample, a, shift)
+
+
+class TestGivenMean:
+    """Both estimators center at ``mean_hat(sample)`` when given it, as
+    ``fit`` does, bit for bit as at the mean they compute."""
+
+    @pytest.mark.parametrize("estimate", [kendall_tau_hat, covariance_hat])
+    @pytest.mark.parametrize("n", [40, 300])
+    def test_the_given_mean_is_the_computed_one(self, estimate, n):
+        sample = skew_t_sample(n, 21)
+        given_mean = estimate(sample, mean_hat(sample))
+        assert np.array_equal(given_mean.matrix, estimate(sample).matrix)
+
+    @pytest.mark.parametrize("estimate", [kendall_tau_hat, covariance_hat])
+    def test_a_mean_on_another_grid_is_rejected(self, estimate):
+        sample = skew_t_sample(20, 21)
+        other = mean_hat(skew_t_sample(20, 22))
+        with pytest.raises(DimensionError, match="different grids"):
+            estimate(sample, other)
+
+    @pytest.mark.parametrize("method, name", [("kfpca", "kendall_tau_hat"),
+                                              ("cov", "covariance_hat")])
+    def test_fit_hands_its_mean_to_the_estimator(self, method, name, monkeypatch):
+        estimate, means = getattr(kfpca.model, name), []
+
+        def estimating(sample, *args):
+            means.extend(args)
+            return estimate(sample, *args)
+
+        monkeypatch.setattr(kfpca.model, name, estimating)
+        model = kfpca.fit(skew_t_sample(30, 21), kfpca.FitConfig(method=method, n_components=2))
+        assert means == [model.mean]
 
 
 class TestCovarianceHat:
@@ -699,6 +761,34 @@ class TestKernelReduction:
             ("eigenvalues", scipy.linalg.lapack.dsterf(diag, off)[0][::-1]),
         ):
             assert np.array_equal(getattr(kernel, name), expected), name
+
+    @pytest.mark.parametrize("d", [51, 300])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_entry_is_rejected(self, d, entry):
+        m = np.eye(d)
+        m[d - 5, 2] = entry
+        with pytest.raises(InputError, match="kernel matrix must be finite"):
+            DiscretizedKernel(make_regular_grid(0, 1, d), m)
+        m[2, d - 5] = entry
+        with pytest.raises(InputError, match="kernel matrix must be finite"):
+            DiscretizedKernel(make_regular_grid(0, 1, d), m)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("d, i, j", [(51, 40, 3), (51, 3, 40), (300, 250, 280),
+                                         (300, 280, 250), (300, 5, 290)])
+    def test_asymmetry_is_rejected_just_above_the_tolerance(self, d, i, j, sign):
+        # symmetric and well inside the PSD cone, but for one entry whose
+        # mirror is 0: m[i, j] - m[j, i] is that entry, exactly
+        x = derive_rng(93, d).standard_normal((d, 5))
+        m = x @ x.T + d * np.eye(d)
+        m[i, j] = m[j, i] = 0.0
+        limit = SYMMETRY_RTOL * np.abs(m).max()
+        grid = make_regular_grid(0, 1, d)
+        m[i, j] = sign * limit
+        DiscretizedKernel(grid, m)
+        m[i, j] = sign * np.nextafter(limit, np.inf)
+        with pytest.raises(InputError, match="kernel matrix is not symmetric"):
+            DiscretizedKernel(grid, m)
 
     def test_asymmetry_in_a_later_strip_is_rejected(self):
         d = 300

@@ -35,6 +35,35 @@ def test_every_stage_is_timed_and_the_library_is_left_as_it_was(tmp_path, capsys
     assert all(ms >= 0 for ms in printed.values())
 
 
+def test_the_paper_shape_fit_is_one_command(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data.csv"
+    fit_stages.write_dataset(data, 12, 9)
+    covariance, estimated = fit_stages.model.covariance_hat, []
+
+    def estimating(*args):
+        estimated.append(args)
+        return covariance(*args)
+
+    monkeypatch.setattr(fit_stages.model, "covariance_hat", estimating)
+    clock = fit_stages.StageClock()
+    options = fit_stages.fit_options("2", "cov", smooth=False)
+    assert options == ["--method", "cov", "--ncomp", "2"]
+    argv = ["fit", str(data), *options, "--out", str(tmp_path / "m.json")]
+    with fit_stages.wrapped(clock), contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    # no smoothing stage runs, and the covariance estimate is the kernel stage
+    assert sorted(clock.ns) == sorted(set(fit_stages.STAGES) - {"presmooth", "eigen-smooth"})
+    assert len(estimated) == 1
+
+    assert fit_stages.main(["--n", "12", "--d", "9", "--ncomp", "2", "--repeats", "1",
+                            "--method", "cov", "--no-smooth"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("kfpca fit --method cov --ncomp 2, N=12, d=9")
+    printed = {line.split()[0]: float(line.split()[1]) for line in lines[1:]}
+    assert list(printed) == [*fit_stages.STAGES, "other", "total"]
+    assert printed["presmooth"] == printed["eigen-smooth"] == 0.0
+
+
 def test_peaks_are_read_per_stage_and_count_toward_the_outer_stage(capsys):
     recorder = fit_stages.StagePeak()
     inner = recorder.wrap("inner", lambda: np.ones(2**17).sum())  # a 1 MiB array

@@ -132,6 +132,41 @@ class TestScoreMse:
         assert _score_mses(x * [-1.0, 1.0], x, np.array([-1.0, 1.0])).tolist() == [0.0, 0.0]
 
 
+class TestRunMetrics:
+    @staticmethod
+    def run_metrics(imse, mse):
+        return RunMetrics(np.array(imse), np.array(mse), 0, SimulationScenario(), "kfpca")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["imse", "mse"])
+    def test_a_non_finite_entry_is_rejected(self, bad, field):
+        vectors = {"imse": [0.1, 0.2], "mse": [0.3, 0.4]}
+        vectors[field][1] = bad
+        with pytest.raises(InputError, match="metrics must be finite"):
+            self.run_metrics(vectors["imse"], vectors["mse"])
+
+    @pytest.mark.parametrize("field", ["imse", "mse"])
+    def test_a_negative_entry_is_rejected(self, field):
+        vectors = {"imse": [0.1, 0.2], "mse": [0.3, 0.4]}
+        vectors[field][0] = -1e-300
+        with pytest.raises(InputError, match="metrics must be non-negative"):
+            self.run_metrics(vectors["imse"], vectors["mse"])
+
+    def test_a_non_finite_entry_is_reported_before_a_negative_one(self):
+        with pytest.raises(InputError, match="metrics must be finite"):
+            self.run_metrics([-1.0, 0.2], [0.3, np.nan])
+
+    def test_negative_zero_and_empty_vectors_pass(self):
+        m = self.run_metrics([-0.0, 0.0], [0.0, -0.0])
+        assert np.signbit(m.imse[0]) and np.signbit(m.mse[1])
+        assert self.run_metrics([], []).imse.shape == (0,)
+
+    @pytest.mark.parametrize("imse, mse", [([[0.1]], [[0.1]]), ([0.1], [0.1, 0.2])])
+    def test_vectors_of_unequal_length_are_rejected(self, imse, mse):
+        with pytest.raises(InputError, match="vectors of equal length"):
+            self.run_metrics(imse, mse)
+
+
 class TestAggregate:
     def _metrics(self, imse1, mse1, run_index=0):
         scenario = SimulationScenario()

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import math
 import pickle
 
 import numpy as np
@@ -22,6 +24,9 @@ from kfpca.simgen import (
     SKEW_T_MEAN,
     SKEW_T_SLANT,
     SKEW_T_VAR,
+    _NOISE_STREAM,
+    _SCORE_STREAM,
+    _draw_score_matrix,
     scenario_from_doc,
     scenario_to_doc,
 )
@@ -169,6 +174,25 @@ class TestSolveSkewTParams:
 
 
 class TestGenerate:
+    @pytest.mark.parametrize("lambdas", [(16.0, 9.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("sigma2", [0.0, 0.25])
+    @pytest.mark.parametrize("case", [1, 2])
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    def test_values_are_the_signal_plus_a_normal_draw(self, distribution, case, sigma2, lambdas):
+        # the noise is drawn as standard normals and scaled in place, to
+        # the bits of normal(0, sigma, (N, d)) added to the signal
+        scenario = SimulationScenario(
+            case=case, distribution=distribution, sigma2=sigma2, lambdas=lambdas, seed=13, runs=3
+        )
+        values = generate(scenario, 2).sample.values
+        scores = _draw_score_matrix(
+            distribution, scenario.lambdas, 100, derive_rng(13, 2, _SCORE_STREAM)
+        )
+        noise = derive_rng(13, 2, _NOISE_STREAM).normal(0.0, math.sqrt(sigma2), (100, 51))
+        expected = scores @ scenario._design[1] + noise
+        digest = [hashlib.sha256(a.tobytes()).digest() for a in (values, expected)]
+        assert digest[0] == digest[1]
+
     def test_zero_variance_everything_gives_zero_matrix(self):
         scenario = SimulationScenario(sigma2=0.0, lambdas=(0.0, 0.0), seed=1)
         bundle = generate(scenario, 0)

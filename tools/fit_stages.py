@@ -5,16 +5,23 @@ Usage, from the repository root:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/fit_stages.py \
         --n 200 --d 1441 --ncomp 3 --repeats 3
 
+and, for the paper's shape (two components, no smoothing, as a Monte Carlo
+run fits):
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/fit_stages.py \
+        --n 100 --d 51 --ncomp 2 --no-smooth --method cov --repeats 200
+
 The script writes N skew-t curves on d points (case 1 of the paper's design,
 seed 0) as a dataset CSV in a temporary directory and runs
-``kfpca fit --presmooth --eigen-smooth`` on it in-process, through
+``kfpca fit --method M --presmooth --eigen-smooth`` on it (without the two
+smoothing options under ``--no-smooth``) in-process, through
 ``kfpca.cli.main``, ``--repeats`` times.  It prints the median process CPU
 time of each stage in ms:
 
     read          cli.read_dataset
     presmooth     model.smooth_rows
     mean          model.mean_hat
-    kernel        model.kendall_tau_hat
+    kernel        model.kendall_tau_hat or model.covariance_hat
     eigen         estimators.DiscretizedKernel.eigenfunctions
     eigen-smooth  model.smooth_kernel, less the eigenfunctions inside it
     scores        model.project_scores
@@ -66,12 +73,13 @@ TARGETS = (
     (model, "smooth_rows", "presmooth"),
     (model, "mean_hat", "mean"),
     (model, "kendall_tau_hat", "kernel"),
+    (model, "covariance_hat", "kernel"),
     (DiscretizedKernel, "eigenfunctions", "eigen"),
     (model, "smooth_kernel", "eigen-smooth"),
     (model, "project_scores", "scores"),
     (cli, "save_model", "save"),
 )
-STAGES = tuple(stage for _, _, stage in TARGETS)
+STAGES = tuple(dict.fromkeys(stage for _, _, stage in TARGETS))
 
 
 class StageClock:
@@ -169,18 +177,24 @@ def _run_fit(argv, recorder=None) -> int:
     return total
 
 
-def stage_profile(n: int, d: int, ncomp="3", repeats=1, peak=False) -> tuple[dict, dict]:
+def fit_options(ncomp="3", method="kfpca", smooth=True) -> list:
+    """The ``kfpca fit`` options of a profile, after its input path."""
+    return ["--method", method, "--ncomp", ncomp] + (
+        ["--presmooth", "--eigen-smooth"] if smooth else [])
+
+
+def stage_profile(n: int, d: int, ncomp="3", repeats=1, peak=False, method="kfpca",
+                  smooth=True) -> tuple[dict, dict]:
     """Median CPU ms of each stage, ``other`` and ``total`` over ``repeats``
-    runs of ``kfpca fit --presmooth --eigen-smooth`` on an N x d dataset,
-    and, when ``peak`` is set, the KiB (entry, peak) of each stage and the
-    peak of the ``total`` in one more run under tracemalloc, and the peak of
-    the ``command`` in one run with no stage wrapped (else an empty dict)."""
+    runs of ``kfpca fit`` with ``fit_options`` on an N x d dataset, and,
+    when ``peak`` is set, the KiB (entry, peak) of each stage and the peak
+    of the ``total`` in one more run under tracemalloc, and the peak of the
+    ``command`` in one run with no stage wrapped (else an empty dict)."""
     runs, peaks = [], {}
     with tempfile.TemporaryDirectory() as tmp:
         data, out = Path(tmp) / "data.csv", Path(tmp) / "model.json"
         write_dataset(data, n, d)
-        argv = ["fit", str(data), "--ncomp", ncomp, "--presmooth", "--eigen-smooth",
-                "--out", str(out)]
+        argv = ["fit", str(data), *fit_options(ncomp, method, smooth), "--out", str(out)]
         for _ in range(repeats):
             clock = StageClock()
             total = _run_fit(argv, clock)
@@ -215,16 +229,22 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=200, help="curves")
     parser.add_argument("--d", type=int, default=1441, help="grid points")
     parser.add_argument("--ncomp", default="3", help="kfpca fit --ncomp")
+    parser.add_argument("--method", default="kfpca", choices=("kfpca", "cov"),
+                        help="kfpca fit --method")
+    parser.add_argument("--no-smooth", dest="smooth", action="store_false",
+                        help="fit without --presmooth and --eigen-smooth")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--peak", action="store_true",
                         help="also print each stage's tracemalloc entry and peak, "
                              "from one untimed run")
     args = parser.parse_args(argv)
-    times, peaks = stage_profile(args.n, args.d, args.ncomp, args.repeats, args.peak)
-    print(f"kfpca fit --presmooth --eigen-smooth --ncomp {args.ncomp}, N={args.n}, "
-          f"d={args.d}: median CPU ms of {args.repeats} run(s)")
+    times, peaks = stage_profile(args.n, args.d, args.ncomp, args.repeats, args.peak,
+                                 args.method, args.smooth)
+    options = " ".join(fit_options(args.ncomp, args.method, args.smooth))
+    print(f"kfpca fit {options}, N={args.n}, d={args.d}: median CPU ms of "
+          f"{args.repeats} run(s)")
     for stage, ms in times.items():
-        print(f"{stage:>13} {ms:10.1f} {100 * ms / times['total']:6.1f}%")
+        print(f"{stage:>13} {ms:10.3f} {100 * ms / times['total']:6.1f}%")
     if peaks:
         command = peaks.pop("command")[1]
         print("tracemalloc KiB of one untimed run: at entry, peak")
