@@ -42,10 +42,10 @@ SIGN_TIE_ATOL = 1e-8
 # purpose tag for bootstrap replicate streams (see core.derive_rng)
 _BOOTSTRAP_STREAM = 11
 
-# rows (or columns) per strip wherever a kernel of more than _PAIR_TILE rows
-# is checked, symmetrized or compacted in pieces: at d = 401 a strip's
-# temporary is 8% of a d x d array
-_STRIP = 32
+# entries per strip of a kernel checked or symmetrized in pieces: up to
+# d = 128 one strip holds the whole kernel, and at d = 401 a strip of 40
+# rows is 10% of a d x d array
+_STRIP_ENTRIES = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,15 +64,15 @@ class DiscretizedKernel:
     phi = W^{-1/2} v, orthonormal in the quadrature inner product, with
     signs fixed so each integrates to a non-negative value.
 
-    A kernel holds two d x d arrays, ``matrix`` and the reflections, and
-    a few length-d vectors.  Beyond ``_PAIR_TILE`` rows construction holds
-    the matrix and one more, the scaled copy that dsytrd overwrites with
-    the reflections, whose kept block is then moved to its front: the
-    symmetry check, the symmetrization and the move work in strips of
-    ``_STRIP`` rows, so their temporaries are a strip's size, and at
-    N = 200, d = 401 ``kendall_tau_hat`` peaks at 2.16 d x d arrays.  Up
-    to ``_PAIR_TILE`` rows each of those steps makes one d x d temporary,
-    in as few numpy calls as one pass can.  The finiteness and scale check
+    A kernel holds two d x d arrays, ``matrix`` and dsytrd's output, from
+    which dormqr reads the reflections in place, and a few length-d
+    vectors.  Construction holds the same two and temporaries of one strip
+    of rows: the symmetry check and the symmetrization of the scaled copy
+    that dsytrd overwrites run ``_STRIP_ENTRIES`` / d rows at a time (32
+    at the least; up to d = 128 the whole kernel is one strip), with
+    numpy's ufunc buffer at 16 floats.  At N = 200 ``kendall_tau_hat``
+    peaks at 2.60 d x d arrays at d = 256 and 2.11 at d = 401, and
+    ``covariance_hat`` at 2.79 and 2.50.  The finiteness and scale check
     reads M's largest and least entries, with no temporary.  W^{1/2},
     dsytrd's workspace size and dstein's block indices are constants of
     the grid, computed once for every kernel on it (``Grid``).
@@ -82,12 +82,12 @@ class DiscretizedKernel:
     matrix: np.ndarray
     eigenvalues: np.ndarray = field(init=False, repr=False)
     # dsytrd's output: T's diagonal and off-diagonal, and Q as reflectors
-    # with their scalars _tau.  _reflectors is the (d - 1) x (d - 1) block
-    # below the first row of dsytrd's array (``_kept_reflectors``), in the
-    # Fortran order dormqr reads without a copy; its diagonal holds the
-    # reflectors' implicit unit entries, which dormqr's unblocked path
-    # writes and restores, so calls on one kernel from several threads
-    # write only the ones there
+    # with their scalars _tau.  _reflectors is the d x (d - 1) Fortran
+    # view of dsytrd's own array that starts at its [1, 0] entry, of which
+    # dormqr reads the first d - 1 rows; its diagonal holds the reflectors'
+    # implicit unit entries, which dormqr's unblocked path writes and
+    # restores, so calls on one kernel from several threads write only the
+    # ones there
     _diagonal: np.ndarray = field(init=False, repr=False)
     _off_diagonal: np.ndarray = field(init=False, repr=False)
     _reflectors: np.ndarray = field(init=False, repr=False)
@@ -102,27 +102,36 @@ class DiscretizedKernel:
         top, bottom = float(m.max()), float(m.min())
         if not (math.isfinite(top) and math.isfinite(bottom)):
             raise InputError("kernel matrix must be finite")
-        if _asymmetry(m) > SYMMETRY_RTOL * max(top, -bottom, 1e-300):
-            raise InputError("kernel matrix is not symmetric")
-        sqrt_w = self.grid.sqrt_weights
-        sym = sqrt_w[:, None] * m
-        sym *= sqrt_w
-        _symmetrize(sym)
-        # sym is exactly symmetric, so its transpose is the same matrix in
-        # the Fortran order that dsytrd overwrites without a copy
-        reflectors, diag, off, tau, info = lapack.dsytrd(
+        # rows per strip of the check and the symmetrization
+        sqrt_w, h = self.grid.sqrt_weights, max(32, _STRIP_ENTRIES // d)
+        with np.errstate():
+            # these passes need no ufunc buffer, yet numpy allocates its
+            # default one, up to 8192 floats (64 KiB) per operand, for them
+            np.setbufsize(16)
+            if _asymmetry(m, h) > SYMMETRY_RTOL * max(top, -bottom, 1e-300):
+                raise InputError("kernel matrix is not symmetric")
+            sym = sqrt_w[:, None] * m
+            sym *= sqrt_w
+            _symmetrize(sym, h)
+        # sym^T is sym's buffer in the Fortran order dsytrd overwrites
+        # without a copy, and its lower triangle, all dsytrd reads, is
+        # sym's averaged upper one
+        a, diag, off, tau, info = lapack.dsytrd(
             sym.T, lower=1, lwork=self.grid._dsytrd_lwork, overwrite_a=1
         )
         _lapack_info("dsytrd", info)
-        del sym
         evals, info = lapack.dsterf(diag, off)
         _lapack_info("dsterf", info)
         if evals[0] < -PSD_RTOL * max(float(evals[-1]), 0.0) - 1e-300:
             raise EstimationError(
                 f"kernel matrix is not positive semidefinite (min eig {evals[0]:.3e})"
             )
-        reflectors = _kept_reflectors(reflectors)
-        np.fill_diagonal(reflectors, 1.0)
+        # the reflectors' unit leading entries go on T's subdiagonal
+        # a[j + 1, j], kept as ``off``; from a[1, 0] on, a d x (d - 1)
+        # Fortran view gives dormqr lda = d, of which it reads d - 1 rows
+        flat = a.ravel("F")
+        flat[1 :: d + 1] = 1.0
+        reflectors = flat[1 : 1 + d * (d - 1)].reshape(d, d - 1, order="F")
         for name, value in (
             ("eigenvalues", evals[::-1]),
             ("_diagonal", diag),
@@ -191,57 +200,25 @@ class DiscretizedKernel:
         return _apply_sign_convention(out, self.grid.weights)
 
 
-def _asymmetry(m: np.ndarray) -> float:
+def _asymmetry(m: np.ndarray, h: int) -> float:
     """max |m - m^T| of a finite square ``m``, read as max(m - m^T): the
     difference is exactly antisymmetric (a - b is -(b - a) in floating
-    point), so its largest entry is its largest magnitude.  Beyond
-    ``_PAIR_TILE`` rows in strips of ``_STRIP`` rows, whose temporaries are
-    a strip's size; the strips together hold every entry."""
-    d = len(m)
-    if d <= _PAIR_TILE:
-        return float((m - m.T).max())
-    return max(float((m[i0 : i0 + _STRIP] - m[:, i0 : i0 + _STRIP].T).max())
-               for i0 in range(0, d, _STRIP))
+    point), so its largest entry is its largest magnitude.  Formed ``h``
+    rows at a time; the strips together hold every entry."""
+    return max([float((m[i0 : i0 + h] - m[:, i0 : i0 + h].T).max())
+                for i0 in range(0, len(m), h)])
 
 
-def _symmetrize(sym: np.ndarray) -> None:
-    """Overwrite the square ``sym`` with (sym + sym^T) / 2, bit for bit:
-    through one copy of sym^T up to ``_PAIR_TILE`` rows, and beyond in
-    strips of ``_STRIP`` rows: each strip's diagonal block is averaged
-    through a copy, the part right of it in place with its mirror below,
-    which is then overwritten with the average's transpose."""
-    d = len(sym)
-    if d <= _PAIR_TILE:
-        sym += sym.T  # numpy reads the overlapping transpose from a copy
-        sym /= 2.0
-        return
-    for i0 in range(0, d, _STRIP):
-        i1 = min(i0 + _STRIP, d)
-        block = sym[i0:i1, i0:i1]
-        block[...] = (block + block.T) / 2.0
-        right, below = sym[i0:i1, i1:], sym[i1:, i0:i1]
-        right += below.T
-        right /= 2.0
-        np.copyto(below, right.T)
-
-
-def _kept_reflectors(a: np.ndarray) -> np.ndarray:
-    """The block of dsytrd's Fortran-ordered d x d output ``a`` below its
-    first row and left of its last column, as a Fortran-ordered array:
-    copied up to ``_PAIR_TILE`` rows, and beyond moved to the front of
-    ``a``.  Column j moves back by j + 1 places, so moving the columns in
-    order overwrites only ones already moved; numpy copies each strip of
-    ``_STRIP`` columns through a temporary, as its source and target
-    overlap."""
-    d = len(a)
-    if d <= _PAIR_TILE:
-        return np.asfortranarray(a[1:, :-1])
-    columns = a.T  # C-ordered: row j is column j
-    flat = columns.reshape(-1)
-    for j0 in range(0, d - 1, _STRIP):
-        j1 = min(j0 + _STRIP, d - 1)
-        np.copyto(flat[j0 * (d - 1) : j1 * (d - 1)].reshape(j1 - j0, d - 1), columns[j0:j1, 1:])
-    return flat[: (d - 1) ** 2].reshape(d - 1, d - 1).T
+def _symmetrize(sym: np.ndarray, h: int) -> None:
+    """Overwrite the upper triangle of the square ``sym`` with that of
+    (sym + sym^T) / 2, bit for bit, ``h`` rows at a time: each strip's
+    rows from its diagonal on are averaged with their mirror, which numpy
+    reads from a strip-sized copy where the two overlap.  Below the
+    diagonal only the strips' diagonal blocks are averaged."""
+    for i0 in range(0, len(sym), h):
+        upper = sym[i0 : i0 + h, i0:]
+        upper += sym[i0:, i0 : i0 + h].T
+        upper *= 0.5  # x * 0.5 rounds as x / 2 does, bit for bit
 
 
 def _apply_sign_convention(phi: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -507,6 +484,7 @@ def covariance_hat(sample: FunctionalSample, mean: Curve | None = None) -> Discr
         # numpy forms xc^T xc by BLAS syrk, one triangle mirrored: exactly
         # symmetric, and so is the sum of such products
         cov += xc.T @ xc
+    del block, xc, rows
     cov /= n - 1
     return DiscretizedKernel(sample.grid, _readonly(cov))
 

@@ -738,29 +738,43 @@ class TestLeadingEigenvectors:
 
 
 class TestKernelReduction:
-    @pytest.mark.parametrize("d", [51, 256, 257, 401])
-    def test_strips_give_the_one_pass_reduction_bit_for_bit(self, d):
-        # past _PAIR_TILE rows the checks, the symmetrization and the move
-        # of the kept reflections work in strips, which round as one pass
+    @pytest.mark.parametrize("d", [2, 3, 4, 51, 128, 129, 256, 257, 401])
+    def test_reduction_is_dsytrd_of_the_symmetric_part_bit_for_bit(self, d, monkeypatch):
+        # up to d = 128 the check and the symmetrization take one strip,
+        # past it several; the kernel keeps dsytrd's own array, of which
+        # dormqr reads the strictly lower part below the first row, with
+        # the unit diagonal the kernel writes there
         rng = derive_rng(90, d)
         x = rng.standard_normal((d, 12))
         m = x @ x.T + 1e-12 * rng.standard_normal((d, d))
         grid = Grid(np.sort(rng.uniform(0, 1, d)))
+        outputs = []
+        dsytrd = scipy.linalg.lapack.dsytrd
+
+        def spy(*args, **kwargs):
+            result = dsytrd(*args, **kwargs)
+            outputs.append(result[0])
+            return result
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", spy)
         kernel = DiscretizedKernel(grid, m)
+        monkeypatch.undo()
         sqrt_w = np.sqrt(grid.weights)
         sym = sqrt_w[:, None] * m * sqrt_w[None, :]
         sym = (sym + sym.T) / 2.0
         lwork, _ = scipy.linalg.lapack.dsytrd_lwork(d, lower=1)
-        a, diag, off, tau, _ = scipy.linalg.lapack.dsytrd(sym.T, lower=1, lwork=int(lwork))
-        reflectors = np.asfortranarray(a[1:, :-1])
-        np.fill_diagonal(reflectors, 1.0)
-        assert kernel._reflectors.flags.f_contiguous
+        a, diag, off, tau, _ = dsytrd(sym.T, lower=1, lwork=int(lwork))
         for name, expected in (
             ("_diagonal", diag), ("_off_diagonal", off), ("_tau", tau),
-            ("_reflectors", reflectors),
             ("eigenvalues", scipy.linalg.lapack.dsterf(diag, off)[0][::-1]),
         ):
             assert np.array_equal(getattr(kernel, name), expected), name
+        reflectors = kernel._reflectors
+        assert len(outputs) == 1 and np.shares_memory(reflectors, outputs[0])
+        assert reflectors.shape == (d, d - 1) and reflectors.flags.f_contiguous
+        read = reflectors[: d - 1]
+        assert np.array_equal(np.tril(read, -1), np.tril(a[1:, :-1], -1))
+        assert np.array_equal(np.diag(read), np.ones(d - 1))
 
     @pytest.mark.parametrize("d", [51, 300])
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
@@ -800,7 +814,8 @@ class TestKernelReduction:
 
 
 class TestKernelMemory:
-    """Peaks in d x d float arrays at the shape N = 200, d = 401."""
+    """Peaks in d x d float arrays at the shape N = 200, d = 401, and at
+    N = 200, d = 256 for the two estimates."""
 
     d = 401
 
@@ -809,10 +824,19 @@ class TestKernelMemory:
 
     def test_kendall_frees_its_pair_sum_before_the_reduction(self):
         sample = skew_t_sample(200, self.d)
-        # the kernel matrix and the reduced copy dsytrd overwrites, whose
-        # kept block of reflections is moved within it, and strip-sized
-        # temporaries; before, the pair sum's d x d result beside the matrix
+        # the kernel matrix and the scaled copy dsytrd overwrites, which
+        # the kernel keeps as its reflections, and strip-sized temporaries;
+        # before, the pair sum's d x d result beside the matrix
         assert self.peak(lambda: kendall_tau_hat(sample)) <= 2.2
+
+    @pytest.mark.parametrize("estimator, bound", [(kendall_tau_hat, 2.7), (covariance_hat, 3.0)])
+    def test_a_256_row_kernel_is_reduced_in_strips(self, estimator, bound):
+        # the matrix and dsytrd's array beside the estimate's own arrays;
+        # the checks and the symmetrization make no d x d temporary, and
+        # covariance_hat frees its block of centered rows first
+        d = 256
+        sample = skew_t_sample(200, d)
+        assert traced_peak(lambda: estimator(sample)) / (8 * d * d) <= bound
 
     @pytest.mark.parametrize("bandwidth", ["auto", 0.5])
     def test_smoothing_lets_the_estimate_go(self, bandwidth):
